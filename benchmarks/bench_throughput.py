@@ -1,4 +1,4 @@
-"""Scan-phase throughput: batched scans, index backends, block-parallel.
+"""Scan-phase throughput: batched scans, block-parallel, delta repair.
 
 Isolates the *scan phase* of the boosted pipeline — Merge (Algorithm 1)
 runs once, outside the timed region, then each host's ``run_phase`` is
@@ -8,18 +8,18 @@ timed repeatedly with a fresh container per repeat:
   for SDI, the per-point filter + stable sort) — the pre-batching
   reference path, kept behind ``SDI(batched=False)`` /
   ``SubsetContainer(memoize=False)``;
-- **batched**: memoized queries, cached contiguous candidate blocks and
-  SDI's incrementally maintained sorted views;
-- **flat vs map**: the batched scan on both subset-index backends — the
-  map prefix tree versus :class:`~repro.core.flat_index.FlatSubsetIndex`'s
-  vectorised struct-of-arrays filter.
+- **batched**: memoized queries served with their gathered candidate
+  rows from the subset index's fused cache, and SDI's incrementally
+  maintained sorted views.  On the canonical configuration the batched
+  times must also beat the fixed PR 2 baselines by ``PR2_GATE_SPEEDUP``
+  (geometric mean across hosts).
 
 Every pair of paths must produce the identical skyline and charge the
 identical dominance-test count — the script exits non-zero otherwise, so
 it doubles as an equivalence gate.  The ``block_parallel`` scenario runs
 the engine's prune-aware block-parallel plan (sort-order partitioning,
-shared-survivor prefix exchange, seeded merge) against the serial flat
-scan under two gates: a deterministic dominance-test-ratio gate
+shared-survivor prefix exchange, seeded merge) against the serial scan
+under two gates: a deterministic dominance-test-ratio gate
 (``PARALLEL_DT_RATIO``, enforced on any host) and the >= 2x wall-clock
 gate, which executes whenever the host has the CPUs and otherwise records
 ``gate_pass=null`` with an explicit ``skip_reason``.
@@ -87,12 +87,12 @@ HOSTS = {
 
 #: Best-of-3 batched map-index scan times recorded by PR 2 on the
 #: canonical cold single-query scenario (UI, n=100k, d=8, seed=0).  The
-#: flat-backend gate (>= 1.5x, geometric mean across hosts) is measured
+#: batched-scan gate (>= 1.5x, geometric mean across hosts) is measured
 #: against these fixed baselines so the comparison survives later
-#: map-index improvements.
+#: index improvements.
 PR2_BATCHED_BASELINE_S = {"sdi": 2.168256, "sfs": 2.805391, "salsa": 3.927047}
 PR2_BASELINE_CONFIG = ("UI", 100_000, 8, 0)
-FLAT_GATE_SPEEDUP = 1.5
+PR2_GATE_SPEEDUP = 1.5
 PARALLEL_GATE_SPEEDUP = 2.0
 
 #: The incremental-repair gate: a 1% mutation batch maintained through
@@ -111,7 +111,6 @@ PARALLEL_DT_RATIO = 1.2
 #: Scenario names accepted by ``--only`` (in execution order).
 SCENARIOS = (
     "batched_vs_scalar",
-    "flat_vs_map",
     "block_parallel",
     "repeated_queries",
     "incremental_repair",
@@ -168,13 +167,12 @@ def upsert(report: dict, key: str, entry: dict) -> None:
 def plan_fields(plan) -> dict:
     """The executed-plan fields a scenario entry records for trajectory.
 
-    A plan change (different algorithm, backend, or strategy) is the most
-    common honest explanation for a wall-time shift, so the regression
-    gate surfaces these fields next to any finding.
+    A plan change (different algorithm or strategy) is the most common
+    honest explanation for a wall-time shift, so the regression gate
+    surfaces these fields next to any finding.
     """
     return {
         "algorithm": plan.label,
-        "index_backend": plan.index_backend,
         "incremental": bool(plan.incremental),
         "parallel_strategy": plan.parallel_strategy,
         "workers": plan.workers,
@@ -184,9 +182,7 @@ def plan_fields(plan) -> dict:
 # -- scenario: batched vs scalar --------------------------------------------
 
 
-def time_scan_phase(
-    dataset, merged, host_factory, memoize, repeats, index_backend="map"
-):
+def time_scan_phase(dataset, merged, host_factory, memoize, repeats):
     """Best-of-``repeats`` wall clock of one host's scan phase."""
     d = dataset.dimensionality
     masks = np.zeros(dataset.cardinality, dtype=np.int64)
@@ -196,9 +192,7 @@ def time_scan_phase(
     counter = DominanceCounter()
     for _ in range(repeats):
         counter = DominanceCounter()
-        container = SubsetContainer(
-            dataset.values, d, counter, memoize=memoize, backend=index_backend
-        )
+        container = SubsetContainer(dataset.values, d, counter, memoize=memoize)
         host = host_factory()
         start = time.perf_counter()
         skyline = host.run_phase(
@@ -209,7 +203,15 @@ def time_scan_phase(
 
 
 def run_batched_vs_scalar(kind, n, d, seed, repeats):
+    """Scalar reference vs batched scan phase, per host.
+
+    Identical skylines and charged dominance tests are required on every
+    configuration.  Gate: on the canonical configuration, the geometric
+    mean across hosts of (PR 2 batched baseline / batched time) must
+    reach ``PR2_GATE_SPEEDUP``.
+    """
     dataset = generate(kind, n=n, d=d, seed=seed)
+    canonical = (kind, n, d, seed) == PR2_BASELINE_CONFIG
     sigma = default_threshold(d)
     counter = DominanceCounter()
     merged = merge(dataset, sigma, counter)
@@ -225,16 +227,17 @@ def run_batched_vs_scalar(kind, n, d, seed, repeats):
             "remaining_points": int(merged.remaining_ids.size),
         },
         "hosts": {},
+        "baseline": "pr2_batched_map" if canonical else None,
         # Scan-phase bench, no engine plan: record the equivalent wiring.
         "plan": {
             "algorithm": "scan-phase",
-            "index_backend": "map",
             "incremental": False,
             "parallel_strategy": "none",
             "workers": 1,
         },
     }
     ok = True
+    ratios = []
     for name, (scalar_factory, batched_factory) in HOSTS.items():
         scalar_sky, scalar_counter, scalar_s = time_scan_phase(
             dataset, merged, scalar_factory, memoize=False, repeats=repeats
@@ -258,90 +261,19 @@ def run_batched_vs_scalar(kind, n, d, seed, repeats):
             "index_cache_misses": batched_counter.index_cache_misses,
             "identical": identical,
         }
+        if canonical and batched_s:
+            baseline = PR2_BATCHED_BASELINE_S[name]
+            entry["pr2_batched_s"] = baseline
+            entry["speedup_vs_pr2"] = round(baseline / batched_s, 3)
+            ratios.append(baseline / batched_s)
         report["hosts"][name] = entry
         marker = "" if identical else "  <-- MISMATCH"
         print(
             f"{name:>6}: scalar {scalar_s:8.4f}s  batched {batched_s:8.4f}s  "
             f"speedup {entry['speedup']:>6}x  "
             f"skyline {entry['skyline_size']}  DT {entry['dominance_tests']}"
-            f"{marker}"
-        )
-    report["identical"] = ok
-    return (dataset, merged), report, ok
-
-
-# -- scenario: flat vs map index backend ------------------------------------
-
-
-def run_flat_vs_map(prepared_pair, kind, n, d, seed, repeats):
-    """Cold single-query scan phase on both subset-index backends.
-
-    Gate: on the canonical configuration, the geometric mean across hosts
-    of (PR 2 batched map baseline / flat time) must reach
-    ``FLAT_GATE_SPEEDUP``; identical skylines and charged dominance tests
-    are required on every configuration.
-    """
-    dataset, merged = prepared_pair
-    canonical = (kind, n, d, seed) == PR2_BASELINE_CONFIG
-    report = {
-        "config": {"kind": kind, "n": n, "d": d, "seed": seed, "repeats": repeats},
-        "hosts": {},
-        "baseline": "pr2_batched_map" if canonical else None,
-        # Scan-phase bench, no engine plan: record the equivalent wiring.
-        "plan": {
-            "algorithm": "scan-phase",
-            "index_backend": "flat",
-            "incremental": False,
-            "parallel_strategy": "none",
-            "workers": 1,
-        },
-    }
-    ok = True
-    ratios = []
-    for name, (_scalar, batched_factory) in HOSTS.items():
-        map_sky, map_counter, map_s = time_scan_phase(
-            dataset,
-            merged,
-            batched_factory,
-            memoize=True,
-            repeats=repeats,
-            index_backend="map",
-        )
-        flat_sky, flat_counter, flat_s = time_scan_phase(
-            dataset,
-            merged,
-            batched_factory,
-            memoize=True,
-            repeats=repeats,
-            index_backend="flat",
-        )
-        identical = (
-            map_sky == flat_sky and map_counter.tests == flat_counter.tests
-        )
-        ok = ok and identical
-        entry = {
-            "map_s": round(map_s, 6),
-            "flat_s": round(flat_s, 6),
-            "speedup_vs_map": round(map_s / flat_s, 3) if flat_s else None,
-            "skyline_size": len(flat_sky),
-            "dominance_tests": flat_counter.tests,
-            "map_dominance_tests": map_counter.tests,
-            "flat_cache_hits": flat_counter.index_cache_hits,
-            "flat_cache_misses": flat_counter.index_cache_misses,
-            "identical": identical,
-        }
-        if canonical and flat_s:
-            baseline = PR2_BATCHED_BASELINE_S[name]
-            entry["pr2_batched_s"] = baseline
-            entry["speedup_vs_pr2"] = round(baseline / flat_s, 3)
-            ratios.append(baseline / flat_s)
-        report["hosts"][name] = entry
-        marker = "" if identical else "  <-- MISMATCH"
-        print(
-            f"{name:>6}: map {map_s:8.4f}s  flat {flat_s:8.4f}s  "
-            f"vs-map {entry['speedup_vs_map']:>6}x  "
             + (
-                f"vs-PR2 {entry['speedup_vs_pr2']:>6}x"
+                f"  vs-PR2 {entry['speedup_vs_pr2']:>6}x"
                 if "speedup_vs_pr2" in entry
                 else ""
             )
@@ -352,28 +284,27 @@ def run_flat_vs_map(prepared_pair, kind, n, d, seed, repeats):
     if canonical and ratios:
         geomean = float(np.exp(np.mean(np.log(ratios))))
         report["geomean_speedup_vs_pr2"] = round(geomean, 3)
-        report["gate_speedup"] = FLAT_GATE_SPEEDUP
-        report["gate_pass"] = bool(ok and geomean >= FLAT_GATE_SPEEDUP)
+        report["gate_speedup"] = PR2_GATE_SPEEDUP
+        report["gate_pass"] = bool(ok and geomean >= PR2_GATE_SPEEDUP)
         gate_ok = report["gate_pass"]
         print(
-            f"  flat gate: geomean {geomean:.3f}x vs PR2 baselines "
-            f"(need >= {FLAT_GATE_SPEEDUP}x): "
+            f"  PR2 gate: geomean {geomean:.3f}x vs PR2 baselines "
+            f"(need >= {PR2_GATE_SPEEDUP}x): "
             + ("PASS" if gate_ok else "FAIL")
         )
     return report, gate_ok
 
 
-# -- scenario: block-parallel vs serial flat --------------------------------
+# -- scenario: block-parallel vs serial ------------------------------------
 
 
 def run_block_parallel(kind, n, d, seed, workers, algorithm="sdi-subset"):
-    """Engine block-parallel plan vs the serial flat-backend plan.
+    """Engine block-parallel plan vs the serial plan.
 
-    Both paths pin ``index_backend="flat"``: the serial plan scans through
-    one flat index, the parallel plan partitions along the monotone order,
-    exchanges the shared-survivor prefix, computes block-local boosted
-    skylines on the worker pool and resolves the survivors through a
-    seeded merge.  Two gates:
+    The serial plan scans through one subset index; the parallel plan
+    partitions along the monotone order, exchanges the shared-survivor
+    prefix, computes block-local boosted skylines on the worker pool and
+    resolves the survivors through a seeded merge.  Two gates:
 
     - **dominance-test ratio** (always enforced): charged parallel tests
       must stay within ``PARALLEL_DT_RATIO`` of serial.  The ratio is a
@@ -395,7 +326,6 @@ def run_block_parallel(kind, n, d, seed, workers, algorithm="sdi-subset"):
         dataset,
         algorithm,
         counter=serial_counter,
-        index_backend="flat",
         workers=1,
     )
     serial_s = time.perf_counter() - start
@@ -406,7 +336,6 @@ def run_block_parallel(kind, n, d, seed, workers, algorithm="sdi-subset"):
         dataset,
         algorithm,
         counter=parallel_counter,
-        index_backend="flat",
         workers=workers,
     )
     parallel_s = time.perf_counter() - start
@@ -435,7 +364,7 @@ def run_block_parallel(kind, n, d, seed, workers, algorithm="sdi-subset"):
             "block_growth": plan.block_growth,
         },
         "plan": plan_fields(plan),
-        "serial_flat_s": round(serial_s, 6),
+        "serial_s": round(serial_s, 6),
         "parallel_s": round(parallel_s, 6),
         "speedup": round(speedup, 3) if speedup else None,
         "skyline_size": int(serial.indices.size),
@@ -463,7 +392,7 @@ def run_block_parallel(kind, n, d, seed, workers, algorithm="sdi-subset"):
         )
     marker = "" if identical else "  <-- MISMATCH"
     print(
-        f"block-parallel: serial-flat {serial_s:8.4f}s  "
+        f"block-parallel: serial {serial_s:8.4f}s  "
         f"x{workers} workers {parallel_s:8.4f}s  "
         f"speedup {report['speedup']:>6}x  (cpus={cpus}){marker}"
     )
@@ -522,13 +451,18 @@ def describe_gates(entry: dict) -> str:
 
 
 def list_scenarios(report: dict) -> None:
-    """Print every recorded scenario key with its gate status."""
+    """Print every recorded scenario key with its gate status.
+
+    Entries of scenarios this script no longer runs (e.g. ``flat_vs_map``)
+    stay in the report as history and are marked retired.
+    """
     scenarios = report.get("scenarios", {})
     if not scenarios:
         print("no recorded scenarios")
         return
     for key in sorted(scenarios):
-        print(key)
+        retired = key.split("|", 1)[0] not in SCENARIOS
+        print(key + ("  [retired: history only]" if retired else ""))
         print(f"    {describe_gates(scenarios[key])}")
 
 
@@ -638,7 +572,7 @@ def run_incremental_repair(kind, n, d, seed, explain_analyze=False):
       delta logged) followed by an adaptive execution, which must plan the
       ``incremental-repair`` variant and replay the delta log;
     - **full**: ``apply_delta(mode="recompute")`` (full invalidation)
-      followed by the pinned flat-index ``sdi-subset`` execution.
+      followed by the pinned ``sdi-subset`` execution.
 
     Bit-identical skyline ids are enforced on every configuration and
     decide the exit code.  The >= ``INCREMENTAL_GATE_SPEEDUP`` x wall gate
@@ -655,8 +589,8 @@ def run_incremental_repair(kind, n, d, seed, explain_analyze=False):
 
     inc_engine = SkylineEngine()
     full_engine = SkylineEngine()
-    inc_engine.execute(dataset, index_backend="flat", workers=1)
-    full_engine.execute(dataset, "sdi-subset", index_backend="flat")
+    inc_engine.execute(dataset, workers=1)
+    full_engine.execute(dataset, "sdi-subset")
 
     # Warm mutation cycle (untimed): the scenario's claim is about
     # steady-state repair, so the one-time bootstrap of the replay stream
@@ -671,7 +605,7 @@ def run_incremental_repair(kind, n, d, seed, explain_analyze=False):
     full_engine.apply_delta(
         dataset, inserts=warm_inserts, deletes=warm_deletes, mode="recompute"
     )
-    full_engine.execute(dataset, "sdi-subset", index_backend="flat")
+    full_engine.execute(dataset, "sdi-subset")
 
     inc_counter = DominanceCounter()
     start = time.perf_counter()
@@ -692,9 +626,7 @@ def run_incremental_repair(kind, n, d, seed, explain_analyze=False):
         counter=full_counter,
         mode="recompute",
     )
-    full_result = full_engine.execute(
-        dataset, "sdi-subset", counter=full_counter, index_backend="flat"
-    )
+    full_result = full_engine.execute(dataset, "sdi-subset", counter=full_counter)
     full_s = time.perf_counter() - start
 
     plan = inc_result.plan
@@ -861,10 +793,9 @@ def main(argv=None):
 
     report = load_report(args.out)
     failures = []
-    prepared_pair = None
 
     if "batched_vs_scalar" in selected:
-        prepared_pair, batched, ok = run_batched_vs_scalar(
+        batched, ok = run_batched_vs_scalar(
             args.kind, args.n, args.d, args.seed, args.repeats
         )
         upsert(
@@ -875,29 +806,9 @@ def main(argv=None):
             batched,
         )
         if not ok:
-            failures.append("batched path diverged from the scalar reference")
-
-    if "flat_vs_map" in selected:
-        if prepared_pair is None:
-            # batched_vs_scalar was deselected: build the shared dataset +
-            # Merge result directly (one untimed Merge pass).
-            dataset = generate(args.kind, n=args.n, d=args.d, seed=args.seed)
-            merged = merge(
-                dataset, default_threshold(args.d), DominanceCounter()
-            )
-            prepared_pair = (dataset, merged)
-        flat, flat_ok = run_flat_vs_map(
-            prepared_pair, args.kind, args.n, args.d, args.seed, args.repeats
-        )
-        upsert(
-            report,
-            scenario_key("flat_vs_map", args.kind, args.n, args.d, args.seed),
-            flat,
-        )
-        if not flat_ok:
             failures.append(
-                "flat backend diverged from the map index or missed the "
-                f"{FLAT_GATE_SPEEDUP}x gate"
+                "batched path diverged from the scalar reference or missed "
+                f"the {PR2_GATE_SPEEDUP}x gate"
             )
 
     if "block_parallel" in selected:

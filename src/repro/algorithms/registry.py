@@ -63,7 +63,6 @@ def available_algorithms() -> list[str]:
 def get_algorithm(
     name: str,
     sigma: int | None = None,
-    index_backend: str = "map",
     **kwargs: object,
 ) -> SkylineAlgorithm | SubsetBoost:
     """Instantiate an algorithm by registry name.
@@ -75,9 +74,6 @@ def get_algorithm(
     sigma:
         Stability threshold for ``*-subset`` names; defaults to the paper's
         rounded ``d/3`` at compute time.  Rejected for plain algorithms.
-    index_backend:
-        Subset-index implementation for ``*-subset`` names (``"map"`` or
-        ``"flat"``); rejected (when not the default) for plain algorithms.
     kwargs:
         Forwarded to the algorithm constructor (e.g. ``window_size`` for
         BNL/LESS, ``sort_function`` for SFS).
@@ -91,15 +87,10 @@ def get_algorithm(
                 f"boostable hosts are {_BOOSTABLE}"
             )
         host = _PLAIN[host_name](**kwargs)
-        return SubsetBoost(host, sigma=sigma, index_backend=index_backend)  # noqa: RPR005 — the registry is the sanctioned factory
+        return SubsetBoost(host, sigma=sigma)  # noqa: RPR005 — the registry is the sanctioned factory
     if sigma is not None:
         raise UnknownAlgorithmError(
             f"sigma is only meaningful for '-subset' algorithms, got {name!r}"
-        )
-    if index_backend != "map":
-        raise UnknownAlgorithmError(
-            f"index_backend is only meaningful for '-subset' algorithms, "
-            f"got {name!r}"
         )
     factory = _PLAIN.get(key)
     if factory is None:

@@ -170,7 +170,6 @@ def verify_merge_masks(dataset: Dataset, sigma: int) -> None:
 def verify_engine_equivalence(
     dataset: Dataset,
     algorithms: tuple[str, ...] = ("sfs", "salsa", "sdi", "sfs-subset", "sdi-subset"),
-    index_backends: tuple[str, ...] = ("map", "flat"),
 ) -> None:
     """Engine contract: planned execution ≡ direct algorithm calls.
 
@@ -178,75 +177,40 @@ def verify_engine_equivalence(
     run must return bit-identical skyline indices *and* charge the
     identical dominance-test count as the direct registry call, and a
     second (warm) run on the same engine must return the identical skyline
-    while recording prepared-cache hits for boosted plans.  Boosted
-    algorithms are verified once per subset-index backend (the backend is
-    inert for plain algorithms, which run once).
+    while recording prepared-cache hits for boosted plans.
     """
     from repro.algorithms.registry import get_algorithm
     from repro.engine import SkylineEngine
 
     for name in algorithms:
-        boosted = name.endswith("-subset")
-        backends = index_backends if boosted else index_backends[:1]
-        reference: tuple[str, np.ndarray, int] | None = None
-        for backend in backends:
-            label = f"{name}[{backend}]" if boosted else name
-            direct_counter = DominanceCounter()
-            if boosted:
-                direct_algorithm = get_algorithm(name, index_backend=backend)
-            else:
-                direct_algorithm = get_algorithm(name)
-            direct = direct_algorithm.compute(dataset, counter=direct_counter)
-            engine = SkylineEngine()
-            cold_counter = DominanceCounter()
-            cold = engine.execute(
-                dataset, name, counter=cold_counter, index_backend=backend
+        direct_counter = DominanceCounter()
+        direct = get_algorithm(name).compute(dataset, counter=direct_counter)
+        engine = SkylineEngine()
+        cold_counter = DominanceCounter()
+        cold = engine.execute(dataset, name, counter=cold_counter)
+        if not np.array_equal(direct.indices, cold.indices):
+            raise ContractViolation(
+                f"engine({name}) returned a different skyline than the "
+                f"direct call: {cold.indices.tolist()} vs "
+                f"{direct.indices.tolist()}"
             )
-            if not np.array_equal(direct.indices, cold.indices):
-                raise ContractViolation(
-                    f"engine({label}) returned a different skyline than the "
-                    f"direct call: {cold.indices.tolist()} vs "
-                    f"{direct.indices.tolist()}"
-                )
-            if cold_counter.tests != direct_counter.tests:
-                raise ContractViolation(
-                    f"engine({label}) charged {cold_counter.tests} dominance "
-                    f"tests on a cold run; the direct call charged "
-                    f"{direct_counter.tests}"
-                )
-            warm_counter = DominanceCounter()
-            warm = engine.execute(
-                dataset, name, counter=warm_counter, index_backend=backend
+        if cold_counter.tests != direct_counter.tests:
+            raise ContractViolation(
+                f"engine({name}) charged {cold_counter.tests} dominance "
+                f"tests on a cold run; the direct call charged "
+                f"{direct_counter.tests}"
             )
-            if not np.array_equal(direct.indices, warm.indices):
-                raise ContractViolation(
-                    f"engine({label}) warm run diverged from the direct skyline"
-                )
-            if boosted and warm_counter.prepared_cache_hits == 0:
-                raise ContractViolation(
-                    f"engine({label}) warm run recorded no prepared-cache "
-                    "hits — the Merge result was recomputed instead of reused"
-                )
-            # The backends must also agree with EACH OTHER bit-for-bit:
-            # a backend that is merely self-consistent (e.g. a superset
-            # filter returning extra, non-dominating candidates) passes
-            # the engine-vs-direct checks above but changes the charged
-            # dominance tests relative to the reference backend.
-            if reference is None:
-                reference = (backend, direct.indices, direct_counter.tests)
-            else:
-                ref_backend, ref_indices, ref_tests = reference
-                if not np.array_equal(direct.indices, ref_indices):
-                    raise ContractViolation(
-                        f"{name}: backend {backend!r} returned a different "
-                        f"skyline than backend {ref_backend!r}"
-                    )
-                if direct_counter.tests != ref_tests:
-                    raise ContractViolation(
-                        f"{name}: backend {backend!r} charged "
-                        f"{direct_counter.tests} dominance tests; backend "
-                        f"{ref_backend!r} charged {ref_tests}"
-                    )
+        warm_counter = DominanceCounter()
+        warm = engine.execute(dataset, name, counter=warm_counter)
+        if not np.array_equal(direct.indices, warm.indices):
+            raise ContractViolation(
+                f"engine({name}) warm run diverged from the direct skyline"
+            )
+        if name.endswith("-subset") and warm_counter.prepared_cache_hits == 0:
+            raise ContractViolation(
+                f"engine({name}) warm run recorded no prepared-cache "
+                "hits — the Merge result was recomputed instead of reused"
+            )
 
 
 def _oracle_skyline(values: np.ndarray) -> list[int]:

@@ -21,10 +21,9 @@ depends on for *correctness of its reported numbers*, not just style:
   calls outside ``obs/`` and ``algorithms/base.py``; ad-hoc clocks define
   "elapsed" differently per call site, so measurements flow through
   :mod:`repro.obs.clock` and the tracer instead.
-- **RPR007** — no direct ``SkylineIndex(...)`` / ``FlatSubsetIndex(...)``
-  construction outside ``core/`` and ``engine/``; the container
-  (``SubsetContainer(backend=...)``) is the sanctioned switch point, so a
-  hand-built index silently pins one backend and skips the fused
+- **RPR007** — no direct ``SkylineIndex(...)`` construction outside
+  ``core/`` and ``engine/``; the container (``SubsetContainer``) is the
+  sanctioned construction point, so a hand-built index skips the fused
   candidate path and its accounting.
 
 RPR008–RPR010 are *project* rules (:class:`ProjectRule`): they run over
@@ -373,10 +372,6 @@ class HandWiredBoost(Rule):
                 )
 
 
-#: Index classes RPR007 polices: both subset-index backends.
-_INDEX_CLASSES = ("SkylineIndex", "FlatSubsetIndex")
-
-
 class HandBuiltIndex(Rule):
     """RPR007: direct subset-index construction outside core/ and engine/."""
 
@@ -384,11 +379,10 @@ class HandBuiltIndex(Rule):
     name = "hand-built-index"
     severity = Severity.ERROR
     description = (
-        "direct SkylineIndex(...)/FlatSubsetIndex(...) construction outside "
-        "core/ and engine/; go through SubsetContainer(backend=...) (or the "
-        "engine) so the backend switch, fused candidate gather and index "
-        "accounting stay wired — suppress deliberate low-level wiring with "
-        "`# noqa: RPR007`"
+        "direct SkylineIndex(...) construction outside core/ and engine/; go "
+        "through SubsetContainer (or the engine) so the fused candidate "
+        "gather and index accounting stay wired — suppress deliberate "
+        "low-level wiring with `# noqa: RPR007`"
     )
 
     def applies_to(self, module: ModuleInfo) -> bool:
@@ -403,14 +397,14 @@ class HandBuiltIndex(Rule):
         for node in ast.walk(module.tree):
             if (
                 isinstance(node, ast.Call)
-                and _called_name(node.func) in _INDEX_CLASSES
+                and _called_name(node.func) == "SkylineIndex"
             ):
                 yield self.finding(
                     module,
                     node.lineno,
-                    f"`{_called_name(node.func)}` constructed directly — use "
-                    "SubsetContainer(backend=...) so map/flat selection stays "
-                    "a one-line switch",
+                    "`SkylineIndex` constructed directly — use "
+                    "SubsetContainer so candidate rows come from the fused "
+                    "index cache",
                 )
 
 

@@ -7,8 +7,6 @@
 - :mod:`repro.core.merge` — Algorithm 1 (subspace union over pivot points).
 - :mod:`repro.core.subset_index` — Figure 3's map-based prefix tree with
   Algorithm 2 (``put``) and Algorithms 3/4 (``query``).
-- :mod:`repro.core.flat_index` — the struct-of-arrays backend answering the
-  same subset queries with one vectorised superset pass (Lemma 5.1).
 - :mod:`repro.core.container` — the generic skyline-container abstraction the
   paper proposes, with list-backed and subset-index-backed implementations.
 - :mod:`repro.core.boost` — ``SubsetBoost``: wires Merge + the subset index
@@ -22,7 +20,6 @@
 
 from repro.core.boost import SubsetBoost
 from repro.core.container import ListContainer, SkylineContainer, SubsetContainer
-from repro.core.flat_index import FlatSubsetIndex
 from repro.core.merge import MergeResult, merge
 from repro.core.prefix import (
     block_bounds,
@@ -39,7 +36,6 @@ from repro.core.subspace import (
 )
 
 __all__ = [
-    "FlatSubsetIndex",
     "ListContainer",
     "MergeResult",
     "SkylineContainer",

@@ -104,7 +104,6 @@ def run_boosted_scan(
     memoize: bool = True,
     merged: MergeResult | None = None,
     sort_cache: MutableMapping[str, object] | None = None,
-    index_backend: str = "map",
 ) -> list[int]:
     """The subset-boost wiring: Merge, mask scatter, container, host scan.
 
@@ -116,10 +115,7 @@ def run_boosted_scan(
     same arguments, and its dominance tests are *not* re-charged here.
     ``sort_cache`` is forwarded to hosts that opt in via
     ``supports_sort_cache`` and must be private to one
-    ``(host-configuration, dataset, merged)`` triple.  ``index_backend``
-    selects the subset-index implementation (``"map"``/``"flat"``, see
-    :class:`~repro.core.container.SubsetContainer`); the skyline and the
-    charged dominance tests are identical either way.
+    ``(host-configuration, dataset, merged)`` triple.
     """
     d = dataset.dimensionality
     if d < 2:
@@ -142,9 +138,7 @@ def run_boosted_scan(
     masks[merged.remaining_ids] = merged.masks
     store: SkylineContainer
     if container == "subset":
-        store = SubsetContainer(
-            dataset.values, d, counter, memoize=memoize, backend=index_backend
-        )
+        store = SubsetContainer(dataset.values, d, counter, memoize=memoize)
     else:
         # Ablation mode: identical merge phase, plain list store — this
         # isolates the contribution of the subset index (Algs. 2-4)
@@ -158,7 +152,6 @@ def run_boosted_scan(
         points=int(merged.remaining_ids.size),
         boosted=True,
         merge_cached=merge_cached,
-        index_backend=index_backend if container == "subset" else None,
     ):
         if sort_cache is not None and getattr(host, "supports_sort_cache", False):
             scan_skyline = host.run_phase(
@@ -187,16 +180,10 @@ class SubsetBoost:
         Stability threshold for Merge; defaults to the paper's rounded
         ``d/3`` heuristic at compute time.
     memoize:
-        Enable the subset index's per-subspace result cache and the
-        container's gathered-block cache (default).  ``False`` is the
-        scalar reference path: identical skyline and dominance-test
-        accounting, used by the differential tests and the throughput
-        benchmark baseline.
-    index_backend:
-        ``"map"`` (default) or ``"flat"`` — which subset-index
-        implementation backs the container; results and charged dominance
-        tests are bit-identical (see
-        :class:`~repro.core.flat_index.FlatSubsetIndex`).
+        Enable the subset index's per-subspace cache of candidate ids and
+        gathered rows (default).  ``False`` is the scalar reference path:
+        identical skyline and dominance-test accounting, used by the
+        differential tests and the throughput benchmark baseline.
 
     >>> from repro.algorithms.sfs import SFS
     >>> from repro.data import generate
@@ -213,7 +200,6 @@ class SubsetBoost:
         container: str = "subset",
         pivot_strategy: str = "euclidean",
         memoize: bool = True,
-        index_backend: str = "map",
     ) -> None:
         if not isinstance(host, BoostableHost):
             raise TypeError(
@@ -221,16 +207,11 @@ class SubsetBoost:
             )
         if container not in ("subset", "list"):
             raise ValueError(f"container must be 'subset' or 'list', got {container!r}")
-        if index_backend not in ("map", "flat"):
-            raise ValueError(
-                f"index_backend must be 'map' or 'flat', got {index_backend!r}"
-            )
         self.host = host
         self.sigma = sigma
         self.container = container
         self.pivot_strategy = pivot_strategy
         self.memoize = memoize
-        self.index_backend = index_backend
         self.name = f"{host.name}-subset"
 
     def compute(
@@ -253,5 +234,4 @@ class SubsetBoost:
             container=self.container,
             pivot_strategy=self.pivot_strategy,
             memoize=self.memoize,
-            index_backend=self.index_backend,
         )

@@ -27,17 +27,15 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.core.flat_index import FlatSubsetIndex
 from repro.core.subset_index import SkylineIndex
-from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 
 
 class _GrowingBlock:
     """An append-only ``(k, d)`` float buffer with amortised doubling."""
 
-    def __init__(self, d: int, initial_capacity: int = 64) -> None:
-        self._data = np.empty((initial_capacity, d), dtype=np.float64)
+    def __init__(self, d: int) -> None:
+        self._data = np.empty((64, d), dtype=np.float64)
         self._len = 0
 
     def append(self, row: np.ndarray) -> None:
@@ -48,23 +46,8 @@ class _GrowingBlock:
         self._data[self._len] = row
         self._len += 1
 
-    def extend(self, rows: np.ndarray) -> None:
-        needed = self._len + rows.shape[0]
-        if needed > self._data.shape[0]:
-            capacity = self._data.shape[0]
-            while capacity < needed:
-                capacity *= 2
-            grown = np.empty((capacity, self._data.shape[1]))
-            grown[: self._len] = self._data[: self._len]
-            self._data = grown
-        self._data[self._len : needed] = rows
-        self._len = needed
-
     def view(self) -> np.ndarray:
         return self._data[: self._len]
-
-    def __len__(self) -> int:
-        return self._len
 
 
 class SkylineContainer(ABC):
@@ -143,24 +126,6 @@ class ListContainer(SkylineContainer):
         return len(self._ids)
 
 
-class _MaskBlock:
-    """Gathered candidate rows of one query subspace (stable prefix).
-
-    Mirrors the index's memoized id list: when the list grows by ``r`` ids,
-    only the ``r`` new rows are gathered from the dataset — every testing
-    point after that reuses the same contiguous block.
-    """
-
-    __slots__ = ("generation", "epoch", "n", "ids", "block")
-
-    def __init__(self, d: int) -> None:
-        self.generation = -1
-        self.epoch = -1
-        self.n = 0
-        self.ids = np.empty(0, dtype=np.intp)
-        self.block = _GrowingBlock(d, initial_capacity=8)
-
-
 class SubsetContainer(SkylineContainer):
     """Subset-index-backed store: candidates filtered by Lemma 5.1.
 
@@ -177,21 +142,12 @@ class SubsetContainer(SkylineContainer):
         :meth:`clear`, :meth:`query_ids`) works normally, but
         :meth:`candidates` — which gathers coordinate blocks — raises.
         The streaming extension uses this mode: it owns its own row
-        storage (points arrive one at a time), yet still routes index
-        construction through the sanctioned backend switch.
+        storage (points arrive one at a time).
     memoize:
-        Forwarded to the index; additionally enables the per-subspace
-        gathered-block cache.  ``False`` reproduces the scalar reference
-        path (fresh traversal + fresh gather per query) with bit-identical
-        results and dominance-test accounting.
-    backend:
-        ``"map"`` (default) uses the paper's hash-map prefix tree
-        (:class:`SkylineIndex`); ``"flat"`` uses the struct-of-arrays
-        :class:`FlatSubsetIndex`, whose fused ``candidates`` path serves
-        ids and gathered rows from a single cache probe.  Both return
-        bit-identical candidate sets in the same order, so the skyline
-        and every charged dominance test are unchanged; only the
-        index-access statistics (nodes visited) differ.
+        Forwarded to the index, whose per-subspace cache then also holds
+        the gathered candidate rows.  ``False`` reproduces the scalar
+        reference path (fresh traversal + fresh gather per query) with
+        bit-identical results and dominance-test accounting.
     """
 
     def __init__(
@@ -200,32 +156,15 @@ class SubsetContainer(SkylineContainer):
         d: int,
         counter: DominanceCounter | None = None,
         memoize: bool = True,
-        backend: str = "map",
     ) -> None:
-        if backend not in ("map", "flat"):
-            raise InvalidParameterError(
-                f"backend must be 'map' or 'flat', got {backend!r}"
-            )
-        self._values = values
-        self._backend = backend
-        self._index: SkylineIndex | FlatSubsetIndex
-        if backend == "flat":
-            self._index = FlatSubsetIndex(d, memoize=memoize, values=values)
-        else:
-            self._index = SkylineIndex(d, memoize=memoize)
+        self._index = SkylineIndex(d, memoize=memoize, values=values)
         self._counter = counter
         self._all_ids: list[int] = []
-        self._blocks: dict[int, _MaskBlock] = {}
 
     @property
-    def index(self) -> SkylineIndex | FlatSubsetIndex:
+    def index(self) -> SkylineIndex:
         """The underlying subset index (exposed for diagnostics)."""
         return self._index
-
-    @property
-    def backend(self) -> str:
-        """Which index backend serves the candidates (``map``/``flat``)."""
-        return self._backend
 
     @property
     def generation(self) -> int:
@@ -249,7 +188,6 @@ class SubsetContainer(SkylineContainer):
         """Drop every stored point and all cached per-mask views."""
         self._index.clear()
         self._all_ids.clear()
-        self._blocks.clear()
 
     def query_ids(self, mask: int) -> list[int]:
         """Candidate ids for ``mask``, without gathering coordinate rows.
@@ -260,37 +198,7 @@ class SubsetContainer(SkylineContainer):
         return self._index.query(mask, self._counter)
 
     def candidates(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._values is None:
-            raise InvalidParameterError(
-                "candidates() needs the value matrix; this container was "
-                "built id-only (values=None) — use query_ids() instead"
-            )
-        if self._backend == "flat":
-            # Fused path: the flat index serves ids and gathered rows from
-            # one cache probe — no separate _MaskBlock bookkeeping.
-            return self._index.candidates(mask, self._counter)  # type: ignore[union-attr]
-        ids = self._index.query_array(mask, self._counter)
-        if not self._index.memoized:
-            return ids, self._values[ids]
-        cached = self._blocks.get(mask)
-        if cached is None:
-            cached = _MaskBlock(self._values.shape[1])
-            self._blocks[mask] = cached
-        generation = self._index.generation
-        if cached.generation != generation:
-            epoch = self._index.epoch
-            if cached.epoch != epoch:
-                # A removal may have shrunk or reordered the result set:
-                # the append-only block is no longer a valid prefix.
-                cached.n = 0
-                cached.block = _GrowingBlock(self._values.shape[1], 8)
-                cached.epoch = epoch
-            if ids.shape[0] > cached.n:
-                cached.block.extend(self._values[ids[cached.n :]])
-                cached.n = ids.shape[0]
-            cached.ids = ids
-            cached.generation = generation
-        return cached.ids, cached.block.view()
+        return self._index.candidates(mask, self._counter)
 
     def ids(self) -> list[int]:
         return list(self._all_ids)

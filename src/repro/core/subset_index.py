@@ -40,9 +40,18 @@ skyline points have lower sort keys and are the strongest dominators.
 Memoized and unmemoized queries return bit-identical lists, so every
 dominance test charged downstream is identical; only
 ``index_nodes_visited`` differs (a cache hit touches no tree nodes).
+
+Built with the dataset's value matrix, the index also *fuses* the
+candidate-row gather into the cache (:meth:`SkylineIndex.candidates`):
+each memoized entry carries the gathered rows beside its ids, repaired
+together from the put-log suffix, so a boosted scan's testing point costs
+one dict probe for both.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from typing import TypeVar
 
 import numpy as np
 
@@ -57,6 +66,8 @@ from repro.structures import bitset
 #: a boosted scan issues one query per testing point, so tracing each one
 #: would dominate the cost being measured.
 _TRACE_SAMPLE = 64
+
+_Result = TypeVar("_Result", list[int], tuple[np.ndarray, np.ndarray])
 
 
 class _Node:
@@ -75,28 +86,43 @@ class _CacheEntry:
 
     The id set is append-only within an epoch and lives in an
     amortised-doubling ``intp`` buffer; ``log_pos`` marks how much of the
-    index's put-log it has incorporated.  Callers receive read-only views
-    of the buffer prefix — appends only ever touch positions beyond every
-    view handed out so far.
+    index's put-log it has incorporated.  With a value matrix, ``rows``
+    holds the gathered candidate rows in lockstep with the ids.  Callers
+    receive views of the buffer prefixes — appends only ever touch
+    positions beyond every view handed out so far, and growth moves to a
+    fresh buffer.
     """
 
-    __slots__ = ("epoch", "log_pos", "buf", "size")
+    __slots__ = ("epoch", "log_pos", "buf", "rows", "size")
 
-    def __init__(self, epoch: int, log_pos: int, ids: list[int]) -> None:
+    def __init__(
+        self, epoch: int, log_pos: int, ids: list[int], values: np.ndarray | None
+    ) -> None:
         self.epoch = epoch
         self.log_pos = log_pos
         arr = np.asarray(ids, dtype=np.intp)
         self.size = arr.shape[0]
         self.buf = np.empty(max(4, self.size), dtype=np.intp)
         self.buf[: self.size] = arr
+        self.rows: np.ndarray | None = None
+        if values is not None:
+            self.rows = np.empty((self.buf.shape[0], values.shape[1]))
+            self.rows[: self.size] = values[arr]
 
-    def extend(self, new_ids: np.ndarray) -> None:
+    def extend(self, new_ids: np.ndarray, values: np.ndarray | None) -> None:
         grown = self.size + new_ids.shape[0]
         if grown > self.buf.shape[0]:
-            buf = np.empty(max(grown, 2 * self.buf.shape[0]), dtype=np.intp)
+            capacity = max(grown, 2 * self.buf.shape[0])
+            buf = np.empty(capacity, dtype=np.intp)
             buf[: self.size] = self.buf[: self.size]
             self.buf = buf
+            if self.rows is not None:
+                rows = np.empty((capacity, self.rows.shape[1]))
+                rows[: self.size] = self.rows[: self.size]
+                self.rows = rows
         self.buf[self.size : grown] = new_ids
+        if self.rows is not None:
+            self.rows[self.size : grown] = values[new_ids]  # type: ignore[index]
         self.size = grown
 
     def ids_list(self) -> list[int]:
@@ -119,6 +145,10 @@ class SkylineIndex:
         Keep the per-subspace result cache (default).  ``False`` forces a
         full tree traversal on every query — the scalar reference path used
         by the differential tests and the throughput benchmark baseline.
+    values:
+        Optional ``(n, d)`` value matrix the stored ids index.  When given,
+        :meth:`candidates` serves each query's ids together with their
+        gathered rows; ``None`` builds an id-only index.
 
     >>> idx = SkylineIndex(d=4)
     >>> idx.put(7, subspace=0b0011)   # D = {0, 1}, stored under D^¬ = {2, 3}
@@ -129,11 +159,14 @@ class SkylineIndex:
     [9]
     """
 
-    def __init__(self, d: int, memoize: bool = True) -> None:
+    def __init__(
+        self, d: int, memoize: bool = True, values: np.ndarray | None = None
+    ) -> None:
         if d < 1:
             raise InvalidParameterError(f"dimensionality must be >= 1, got {d}")
         self._d = d
         self._memoize = memoize
+        self._values = values
         self._root = _Node()
         self._size = 0
         self._seq = 0
@@ -224,16 +257,27 @@ class SkylineIndex:
         records zero visits.
         """
         if self._trace_every and self._sample():
-            ids, elapsed = timed(lambda: self._query(subspace, counter))
-            self._tracer.record(
-                "index.query",
-                elapsed,
-                subspace=subspace,
-                results=len(ids),
-                sampled_1_in=self._trace_every,
-            )
-            return ids
+            return self._traced(self._query, subspace, counter)
         return self._query(subspace, counter)
+
+    def candidates(
+        self, subspace: int, counter: DominanceCounter | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fused query: ``(ids, rows)`` with the candidate rows gathered.
+
+        ``ids`` is :meth:`query`'s result as a read-only ``intp`` array and
+        ``rows[k]`` is ``values[ids[k]]``; accounting is identical.  The
+        memoized path serves both from one cache probe.  Requires an index
+        built with ``values``.
+        """
+        if self._values is None:
+            raise InvalidParameterError(
+                "candidates() needs the value matrix; this index was built "
+                "id-only (values=None) — use query() instead"
+            )
+        if self._trace_every and self._sample():
+            return self._traced(self._candidates, subspace, counter)
+        return self._candidates(subspace, counter)
 
     def _query(
         self, subspace: int, counter: DominanceCounter | None
@@ -244,8 +288,36 @@ class SkylineIndex:
             if counter is not None:
                 counter.add_query(visited)
             return ids
+        return self._entry(subspace, counter).ids_list()
+
+    def _candidates(
+        self, subspace: int, counter: DominanceCounter | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if not self._memoize:
+            # The reference path: a tree walk, then a fresh gather.
+            ids = np.asarray(self._query(subspace, counter), dtype=np.intp)
+            ids.flags.writeable = False
+            return ids, self._values[ids]  # type: ignore[index]
         entry = self._entry(subspace, counter)
-        return entry.ids_list()
+        return entry.array(), entry.rows[: entry.size]  # type: ignore[index]
+
+    def _traced(
+        self,
+        fetch: Callable[[int, DominanceCounter | None], _Result],
+        subspace: int,
+        counter: DominanceCounter | None,
+    ) -> _Result:
+        """Run one sampled query under the tracer as an ``index.query`` span."""
+        result, elapsed = timed(lambda: fetch(subspace, counter))
+        ids = result[0] if isinstance(result, tuple) else result
+        self._tracer.record(
+            "index.query",
+            elapsed,
+            subspace=subspace,
+            results=len(ids),
+            sampled_1_in=self._trace_every,
+        )
+        return result
 
     def _sample(self) -> bool:
         """Down-counting sampler: True once every ``_trace_every`` calls."""
@@ -254,36 +326,6 @@ class SkylineIndex:
             self._trace_seen = 0
             return True
         return False
-
-    def query_array(
-        self, subspace: int, counter: DominanceCounter | None = None
-    ) -> np.ndarray:
-        """Like :meth:`query` but returning a read-only ``intp`` id array.
-
-        The memoized path shares one cached array across calls (rebuilt
-        only when the entry grows), so containers can gather candidate
-        blocks without re-materialising ids on every testing point.
-        """
-        if self._trace_every and self._sample():
-            arr, elapsed = timed(lambda: self._query_array(subspace, counter))
-            self._tracer.record(
-                "index.query",
-                elapsed,
-                subspace=subspace,
-                results=int(arr.shape[0]),
-                sampled_1_in=self._trace_every,
-            )
-            return arr
-        return self._query_array(subspace, counter)
-
-    def _query_array(
-        self, subspace: int, counter: DominanceCounter | None
-    ) -> np.ndarray:
-        if not self._memoize:
-            arr = np.asarray(self._query(subspace, counter), dtype=np.intp)
-            arr.setflags(write=False)
-            return arr
-        return self._entry(subspace, counter).array()
 
     def _entry(self, subspace: int, counter: DominanceCounter | None) -> _CacheEntry:
         """The up-to-date cache entry for ``subspace`` (memoized path)."""
@@ -295,7 +337,9 @@ class SkylineIndex:
                 match = bitset.subset_of_many(
                     subspace, self._log_subs[pos:log_size]
                 )
-                entry.extend(self._log_pids[pos:log_size][match])
+                new_ids = self._log_pids[pos:log_size][match]
+                if new_ids.shape[0]:
+                    entry.extend(new_ids, self._values)
                 entry.log_pos = log_size
             self._hits += 1
             if counter is not None:
@@ -308,7 +352,7 @@ class SkylineIndex:
             self._invalidations += 1
         reversed_mask = self._reversed(subspace)
         ids, visited = self._traverse(reversed_mask)
-        entry = _CacheEntry(self._epoch, self._log_size, ids)
+        entry = _CacheEntry(self._epoch, self._log_size, ids, self._values)
         self._cache[subspace] = entry
         self._misses += 1
         if counter is not None:

@@ -93,7 +93,6 @@ class SkylineEngine:
         container: str = "subset",
         pivot_strategy: str = "euclidean",
         memoize: bool = True,
-        index_backend: str | None = None,
         workers: int | None = None,
         parallel_strategy: str | None = None,
         incremental: bool | None = None,
@@ -102,10 +101,10 @@ class SkylineEngine:
         """Plan (unless ``plan`` is given) and execute one skyline query.
 
         ``algorithm=None`` selects adaptively from dataset statistics; a
-        registry name pins the exact direct-call wiring.  ``index_backend``
-        and ``workers`` default to ``None`` — "planner decides": pinned
-        plans keep the direct-call wiring (map index, sequential), adaptive
-        plans choose from the dataset statistics.  ``parallel_strategy``
+        registry name pins the exact direct-call wiring.  ``workers``
+        defaults to ``None`` — "planner decides": pinned plans keep the
+        direct-call wiring (sequential), adaptive plans choose from the
+        dataset statistics.  ``parallel_strategy``
         pins the block-parallel mode for ``workers > 1`` (``"prefix"`` is
         the prune-aware default, ``"even"`` the legacy split).
         ``incremental`` steers delta repair after :meth:`apply_delta`:
@@ -139,7 +138,6 @@ class SkylineEngine:
                         container=container,
                         pivot_strategy=pivot_strategy,
                         memoize=memoize,
-                        index_backend=index_backend,
                         workers=workers,
                         parallel_strategy=parallel_strategy,
                         incremental=incremental,
@@ -155,7 +153,6 @@ class SkylineEngine:
                     label=executed.label,
                     adaptive=executed.adaptive,
                     incremental=executed.incremental,
-                    index_backend=executed.index_backend,
                     workers=executed.workers,
                     parallel_strategy=executed.parallel_strategy,
                 )
@@ -249,17 +246,13 @@ class SkylineEngine:
                     "delta.repair",
                     dataset=prepared.dataset.name,
                     pending=plan.pending_mutations,
-                    backend=plan.index_backend,
                 )
             with self.context.tracer.span(
                 "engine.repair",
                 counter=counter,
                 pending=plan.pending_mutations,
-                backend=plan.index_backend,
             ):
-                return prepared.repair_skyline(
-                    counter, index_backend=plan.index_backend
-                )
+                return prepared.repair_skyline(counter)
         if plan.workers > 1:
             # Block-parallel path: lazy import keeps engine -> extensions
             # off the module import graph (extensions import the engine).
@@ -282,13 +275,11 @@ class SkylineEngine:
                 workers=plan.workers,
                 algorithm=plan.label,
                 # Boosted plans also merge the union of local skylines
-                # through the boosted wiring, so the merge phase shares
-                # the plan's subset-index backend (a flat plan funnels
-                # every block's survivors through one flat index).
+                # through the boosted wiring (one subset index over every
+                # block's survivors).
                 merge_algorithm=plan.label if plan.boosted else "sfs",
                 counter=counter,
                 pool=self.context.pool,
-                index_backend=plan.index_backend,
                 partition="sorted" if plan.parallel_strategy == "prefix" else "even",
                 prefix_size=plan.prefix_size,
                 block_growth=plan.block_growth,
@@ -314,7 +305,6 @@ class SkylineEngine:
                 memoize=plan.memoize,
                 merged=merged,
                 sort_cache=sort_cache,
-                index_backend=plan.index_backend,
             )
         if isinstance(host, BoostableHost):
             return run_unboosted_scan(dataset, host, counter, sort_cache)

@@ -41,11 +41,6 @@ class Plan:
         Merge pivot selection strategy.
     memoize:
         Whether the subset index's per-subspace caches are enabled.
-    index_backend:
-        Subset-index implementation backing a ``"subset"`` container:
-        ``"map"`` (the paper's prefix tree) or ``"flat"`` (the vectorised
-        struct-of-arrays backend).  Results and charged dominance tests
-        are identical either way.
     workers:
         Process count for block-parallel execution; ``1`` is sequential.
     parallel_strategy:
@@ -81,7 +76,7 @@ class Plan:
         repair-vs-recompute decision shown by :meth:`explain`.
     estimates:
         The ``(name, value)`` cost-model inputs the decision was weighed
-        against — the backend/parallel cardinality thresholds, correlation
+        against — the size/dimensionality thresholds, correlation
         cutoffs and per-op repair cost constants in force when the plan
         was made.  Recorded so :meth:`analyze` can show the estimates next
         to measured actuals after execution; empty for pinned plans (which
@@ -100,7 +95,6 @@ class Plan:
     container: str = "subset"
     pivot_strategy: str = "euclidean"
     memoize: bool = True
-    index_backend: str = "map"
     workers: int = 1
     parallel_strategy: str = "none"
     prefix_size: int = 0
@@ -115,6 +109,10 @@ class Plan:
     host_options: tuple[tuple[str, object], ...] = ()
     signals: tuple[tuple[str, float], ...] = field(default=(), compare=True)
     reasons: tuple[str, ...] = ()
+
+    #: The subset index behind a ``"subset"`` container: always the paper's
+    #: map prefix tree.  Kept readable for callers that record it.
+    index_backend = "map"
 
     @property
     def label(self) -> str:
@@ -132,8 +130,7 @@ class Plan:
         Encodes everything that changes the scanned id set or the scan
         order: host name and options, boost mode, σ and pivot strategy
         (these determine ``remaining_ids``).  The container, memoization
-        and index-backend knobs deliberately do not appear — they change
-        neither.
+        knobs deliberately do not appear — they change neither.
         """
         options = ",".join(f"{k}={v!r}" for k, v in self.host_options)
         if self.boosted:
@@ -148,10 +145,7 @@ class Plan:
         mode = "adaptive" if self.adaptive else "pinned"
         lines = [f"Plan: {self.label}  [{mode}]"]
         if self.incremental:
-            lines.append(
-                "  execution: incremental delta-repair "
-                f"(index={self.index_backend})"
-            )
+            lines.append("  execution: incremental delta-repair")
             self._explain_delta(lines)
             if self.signals:
                 rendered = ", ".join(
@@ -165,12 +159,7 @@ class Plan:
             lines.append(
                 f"  boost: merge(σ={self.sigma}, pivots={self.pivot_strategy})"
                 f" -> {self.container} container"
-                f" (memoize={'on' if self.memoize else 'off'}"
-                + (
-                    f", index={self.index_backend})"
-                    if self.container == "subset"
-                    else ")"
-                )
+                f" (memoize={'on' if self.memoize else 'off'})"
             )
         else:
             lines.append("  boost: off (plain list container)")

@@ -53,18 +53,6 @@ _SMALL_N = 600
 #: the entropy-sorted scan as the boosted host (Tables 4-7).
 _HIGH_D = 5
 
-#: From this cardinality upward the flat subset-index backend's vectorised
-#: superset pass beats the map index's per-node dict probes: the candidate
-#: sets are big enough that one numpy filter over all distinct masks
-#: amortises, and compactions stay rare relative to queries.
-_FLAT_N = 20_000
-
-#: High dimensionality multiplies distinct subspace masks, which the map
-#: index pays for in tree nodes walked per query; the flat filter's cost is
-#: one vectorised pass regardless, so it wins from here upward even when
-#: ``n`` alone would not justify it.
-_FLAT_D = 6
-
 #: From this cardinality upward block-parallel execution repays process
 #: dispatch and the sequential merge over the union of local skylines.
 _PARALLEL_N = 200_000
@@ -132,7 +120,6 @@ class Planner:
         container: str = "subset",
         pivot_strategy: str = "euclidean",
         memoize: bool = True,
-        index_backend: str | None = None,
         workers: int | None = None,
         parallel_strategy: str | None = None,
         incremental: bool | None = None,
@@ -143,15 +130,12 @@ class Planner:
 
         ``algorithm`` pins a registry name (``"sfs"``, ``"sdi-subset"``,
         ...); ``None`` selects adaptively from the dataset statistics.
-        ``index_backend`` pins the subset-index implementation (``"map"``
-        or ``"flat"``); ``None`` lets adaptive plans choose from the
-        cardinality/dimensionality thresholds while pinned plans keep the
-        direct-call default (``"map"``).  Likewise ``workers``: an explicit
-        count is honoured as given, ``None`` lets adaptive plans turn on
-        block-parallel execution above ``_PARALLEL_N`` rows (pinned plans
-        stay sequential).  ``parallel_strategy`` pins how a parallel plan
-        partitions and prunes (``"prefix"``/``"even"``); ``None`` selects
-        the prune-aware prefix exchange whenever ``workers > 1``.
+        ``workers``: an explicit count is honoured as given, ``None`` lets
+        adaptive plans turn on block-parallel execution above
+        ``_PARALLEL_N`` rows (pinned plans stay sequential).
+        ``parallel_strategy`` pins how a parallel plan partitions and
+        prunes (``"prefix"``/``"even"``); ``None`` selects the prune-aware
+        prefix exchange whenever ``workers > 1``.
 
         ``incremental`` controls delta repair when the prepared dataset has
         pending mutations logged by :meth:`PreparedDataset.apply_delta`:
@@ -172,10 +156,6 @@ class Planner:
             raise InvalidParameterError(
                 f"container must be 'subset' or 'list', got {container!r}"
             )
-        if index_backend not in (None, "map", "flat"):
-            raise InvalidParameterError(
-                f"index_backend must be 'map' or 'flat', got {index_backend!r}"
-            )
         if parallel_strategy not in (None, "prefix", "even"):
             raise InvalidParameterError(
                 "parallel_strategy must be 'prefix' or 'even', "
@@ -190,7 +170,6 @@ class Planner:
                 container=container,
                 pivot_strategy=pivot_strategy,
                 memoize=memoize,
-                index_backend=index_backend,
                 workers=workers,
                 parallel_strategy=parallel_strategy,
                 host_options=options,
@@ -201,7 +180,6 @@ class Planner:
             container=container,
             pivot_strategy=pivot_strategy,
             memoize=memoize,
-            index_backend=index_backend,
             workers=workers,
             parallel_strategy=parallel_strategy,
             incremental=incremental,
@@ -220,7 +198,6 @@ class Planner:
         container: str,
         pivot_strategy: str,
         memoize: bool,
-        index_backend: str | None,
         workers: int | None,
         parallel_strategy: str | None,
         host_options: tuple[tuple[str, object], ...],
@@ -264,12 +241,11 @@ class Planner:
             container=container,
             pivot_strategy=pivot_strategy,
             memoize=memoize,
-            # Pinned plans keep the direct-call defaults unless the caller
-            # asks otherwise: map index, sequential execution — the mode
-            # with bit-for-bit counter parity versus get_algorithm calls.
+            # Pinned plans keep the direct-call default of sequential
+            # execution unless the caller asks otherwise — the mode with
+            # bit-for-bit counter parity versus get_algorithm calls.
             # Parallel knobs (prefix size, growth) use fixed defaults so
             # pinned plans stay a pure function of the caller's arguments.
-            index_backend=index_backend if index_backend is not None else "map",
             workers=resolved_workers,
             parallel_strategy=strategy,
             prefix_size=prefix_size,
@@ -305,7 +281,6 @@ class Planner:
         container: str,
         pivot_strategy: str,
         memoize: bool,
-        index_backend: str | None,
         workers: int | None,
         parallel_strategy: str | None,
         incremental: bool | None,
@@ -326,15 +301,13 @@ class Planner:
             ("small_n_threshold", float(_SMALL_N)),
             ("high_d_threshold", float(_HIGH_D)),
             ("correlated_cutoff", _CORRELATED_CUTOFF),
-            ("flat_n_threshold", float(_FLAT_N)),
-            ("flat_d_threshold", float(_FLAT_D)),
             ("parallel_n_threshold", float(_PARALLEL_N)),
             ("repair_op_cost", _REPAIR_OP_COST),
         )
         reasons: list[str] = []
 
         delta = self._consider_incremental(
-            prepared, stats, incremental, index_backend, signals, estimates, reasons
+            prepared, stats, incremental, signals, estimates, reasons
         )
         if isinstance(delta, Plan):
             return delta
@@ -344,9 +317,6 @@ class Planner:
         resolved_sigma: int | None = None
         if boosted:
             resolved_sigma = self._select_sigma(prepared, host, sigma, reasons)
-        backend = self._select_backend(
-            stats, boosted, container, index_backend, reasons
-        )
         resolved_workers = self._select_workers(stats, workers, reasons)
         strategy, prefix_size, growth = self._select_parallel(
             stats, resolved_workers, parallel_strategy, reasons
@@ -359,7 +329,6 @@ class Planner:
             container=container,
             pivot_strategy=pivot_strategy,
             memoize=memoize,
-            index_backend=backend,
             workers=resolved_workers,
             parallel_strategy=strategy,
             prefix_size=prefix_size,
@@ -380,7 +349,6 @@ class Planner:
         prepared: PreparedDataset,
         stats: DatasetStatistics,
         incremental: bool | None,
-        index_backend: str | None,
         signals: tuple[tuple[str, float], ...],
         estimates: tuple[tuple[str, float], ...],
         reasons: list[str],
@@ -435,14 +403,10 @@ class Planner:
             "replay stream "
             + ("is warm" if state.stream_ready else "bootstraps from the noted skyline")
         )
-        backend = index_backend
-        if backend is None:
-            backend = "flat" if (n >= _FLAT_N or d >= _FLAT_D) else "map"
         return Plan(
             algorithm="incremental-repair",
             boosted=False,
             sigma=None,
-            index_backend=backend,
             workers=1,
             adaptive=True,
             incremental=True,
@@ -487,35 +451,6 @@ class Planner:
             "moderate d and independent dimensions: boosted entropy-sorted scan"
         )
         return "sfs", True
-
-    @staticmethod
-    def _select_backend(
-        stats: DatasetStatistics,
-        boosted: bool,
-        container: str,
-        index_backend: str | None,
-        reasons: list[str],
-    ) -> str:
-        if index_backend is not None:
-            if boosted and container == "subset":
-                reasons.append(f"index backend {index_backend!r} pinned by caller")
-            return index_backend
-        if not boosted or container != "subset":
-            # No subset index participates; the field is inert.
-            return "map"
-        if stats.cardinality >= _FLAT_N or stats.dimensionality >= _FLAT_D:
-            reasons.append(
-                f"n={stats.cardinality}, d={stats.dimensionality}: at or past "
-                f"the flat-index thresholds (n>={_FLAT_N} or d>={_FLAT_D}), "
-                "the vectorised superset filter beats per-node map probes"
-            )
-            return "flat"
-        reasons.append(
-            f"n={stats.cardinality} < {_FLAT_N} and d={stats.dimensionality} "
-            f"< {_FLAT_D}: candidate sets too small to amortise the flat "
-            "filter, keeping the map index"
-        )
-        return "map"
 
     @staticmethod
     def _select_workers(

@@ -503,11 +503,7 @@ class PreparedDataset:
             stream_ready=self._stream is not None,
         )
 
-    def repair_skyline(
-        self,
-        counter: DominanceCounter | None = None,
-        index_backend: str = "map",
-    ) -> list[int]:
+    def repair_skyline(self, counter: DominanceCounter | None = None) -> list[int]:
         """Replay the pending delta log; return the current skyline ids.
 
         Bootstraps a columnar
@@ -532,7 +528,6 @@ class PreparedDataset:
             stream = StreamingSkyline.from_dataset(
                 self._base_dataset,
                 anchors=_STREAM_ANCHORS,
-                backend=index_backend,
                 skyline_ids=self._base_skyline,
             )
             self._stream = stream

@@ -67,8 +67,6 @@ import os
 import threading
 from multiprocessing import shared_memory
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.algorithms.registry import get_algorithm
@@ -89,9 +87,6 @@ from repro.obs.events import current_event_log
 from repro.obs.histogram import LogHistogram
 from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
-
-if TYPE_CHECKING:
-    from repro.algorithms.base import SkylineAlgorithm
 
 __all__ = [
     "SkylineWorkerPool",
@@ -196,7 +191,6 @@ def _shm_local_skyline(
         lo,
         hi,
         algorithm,
-        index_backend,
         prefix,
         defer,
     ) = args
@@ -237,17 +231,8 @@ def _shm_local_skyline(
         return np.empty(0, dtype=np.intp), counter.tests, pruned, watch.elapsed()
     if defer and block.shape[0] <= rows * _DEFER_SURVIVOR_FRACTION:
         return ids, counter.tests, pruned, watch.elapsed()
-    result = _resolve(algorithm, index_backend).compute(
-        Dataset(block), counter=counter
-    )
+    result = get_algorithm(algorithm).compute(Dataset(block), counter=counter)
     return ids[result.indices], counter.tests, pruned, watch.elapsed()
-
-
-def _resolve(algorithm: str, index_backend: str) -> "SkylineAlgorithm | SubsetBoost":
-    """Instantiate ``algorithm``; backends only apply to boosted names."""
-    if algorithm.lower().endswith("-subset"):
-        return get_algorithm(algorithm, index_backend=index_backend)
-    return get_algorithm(algorithm)
 
 
 class SkylineWorkerPool:
@@ -398,7 +383,6 @@ class SkylineWorkerPool:
         values: np.ndarray,
         pairs: list[tuple[int, int]],
         algorithm: str,
-        index_backend: str = "map",
         order: np.ndarray | None = None,
         prefix: np.ndarray | None = None,
         filter_head: bool = True,
@@ -437,7 +421,6 @@ class SkylineWorkerPool:
                 int(lo),
                 int(hi),
                 algorithm,
-                index_backend,
                 prefix if (filter_head or index > 0) else None,
                 defer_tail and index >= head_blocks,
             )
@@ -501,7 +484,6 @@ def _seeded_union_skyline(
     union: Dataset,
     seed_positions: np.ndarray,
     merge_algorithm: str,
-    index_backend: str,
     counter: DominanceCounter,
 ) -> np.ndarray | None:
     """Skyline of ``union`` with ``seed_positions`` accepted test-free.
@@ -521,7 +503,7 @@ def _seeded_union_skyline(
     without the boostable scan contract (no seedable container); the
     caller falls back to the unseeded merge.
     """
-    algorithm = _resolve(merge_algorithm, index_backend)
+    algorithm = get_algorithm(merge_algorithm)
     n, d = union.cardinality, union.dimensionality
     tracer = current_tracer()
 
@@ -540,11 +522,7 @@ def _seeded_union_skyline(
         store: SkylineContainer
         if algorithm.container == "subset":
             store = SubsetContainer(
-                union.values,
-                d,
-                counter,
-                memoize=algorithm.memoize,
-                backend=index_backend,
+                union.values, d, counter, memoize=algorithm.memoize
             )
         else:
             store = ListContainer(union.values)
@@ -571,9 +549,6 @@ def _seeded_union_skyline(
                 points=int(scan_ids.size),
                 seeded=int(seeds.size),
                 boosted=True,
-                index_backend=(
-                    index_backend if algorithm.container == "subset" else None
-                ),
             ):
                 scan_skyline = host.run_phase(
                     union, scan_ids, masks, store, counter
@@ -618,7 +593,6 @@ def parallel_skyline(
     merge_algorithm: str = "sfs",
     counter: DominanceCounter | None = None,
     pool: SkylineWorkerPool | None = None,
-    index_backend: str = "map",
     partition: str = "sorted",
     prefix_size: int | None = None,
     block_growth: float = 1.0,
@@ -640,11 +614,6 @@ def parallel_skyline(
         A :class:`SkylineWorkerPool` to run on; defaults to the shared
         process-wide pool, so consecutive calls reuse workers and the
         dataset's shared-memory segments.
-    index_backend:
-        Subset-index backend (``"map"``/``"flat"``) used wherever a
-        ``*-subset`` algorithm runs — the per-block local scans and, when
-        ``merge_algorithm`` is boosted, the merge over the union of local
-        skylines.  Plain algorithms ignore it.
     partition:
         ``"sorted"`` (default) cuts blocks along the monotone entropy
         order so the skyline-dense head lands in the first block;
@@ -681,10 +650,7 @@ def parallel_skyline(
     workers = min(workers, n)
 
     if workers == 1:
-        result = _resolve(algorithm, index_backend).compute(
-            dataset, counter=counter
-        )
-        return result.indices
+        return get_algorithm(algorithm).compute(dataset, counter=counter).indices
 
     tracer = current_tracer()
     values = dataset.values
@@ -746,7 +712,6 @@ def parallel_skyline(
         blocks=len(pairs),
         head_blocks=head_blocks,
         algorithm=algorithm,
-        index_backend=index_backend,
         partition=partition,
         n=n,
     ) as map_span:
@@ -754,7 +719,6 @@ def parallel_skyline(
             values,
             pairs,
             algorithm,
-            index_backend=index_backend,
             order=order if partition == "sorted" else None,
             prefix=prefix,
             filter_head=partition != "sorted",
@@ -792,7 +756,6 @@ def parallel_skyline(
         counter=counter,
         candidates=int(candidates.size),
         algorithm=merge_algorithm,
-        index_backend=index_backend,
     ) as merge_span:
         local_skyline: np.ndarray | None = None
         seed_positions: np.ndarray | None = None
@@ -813,11 +776,9 @@ def parallel_skyline(
         )
         if seed_positions is not None:
             local_skyline = _seeded_union_skyline(
-                union, seed_positions, merge_algorithm, index_backend, counter
+                union, seed_positions, merge_algorithm, counter
             )
         if local_skyline is None:
-            merged = _resolve(merge_algorithm, index_backend).compute(
-                union, counter=counter
-            )
+            merged = get_algorithm(merge_algorithm).compute(union, counter=counter)
             local_skyline = np.asarray(merged.indices, dtype=np.intp)
     return np.sort(candidates[local_skyline])

@@ -10,8 +10,8 @@ anchor points ``A``, whether or not they are (or remain) skyline points.
 The structure freezes the first ``anchors`` observed points as pure
 geometric anchors, computes every point's subspace mask against them, and
 keeps the current skyline in a
-:class:`~repro.core.container.SubsetContainer` (id-only,
-backend-switchable) keyed by those masks — candidate dominators for any
+:class:`~repro.core.container.SubsetContainer` (id-only) keyed by those
+masks — candidate dominators for any
 probe are retrieved with one subset query.
 
 Storage is columnar: one amortised-doubling ``(capacity, d)`` row matrix
@@ -89,11 +89,6 @@ class StreamingSkyline:
         Number of leading points frozen as mask anchors.  More anchors give
         finer subspace partitions (fewer candidates per query) at the cost
         of longer mask computation per arrival.
-    backend:
-        Subset-index backend (``"map"``/``"flat"``), forwarded to
-        :class:`~repro.core.container.SubsetContainer`.  Streaming keeps
-        no value matrix up front, so the container runs id-only: queries
-        return ids and the stream gathers rows from its columnar store.
     window:
         Optional sliding-window size: after every insert, the oldest live
         points are evicted (with full delete/promotion semantics) until at
@@ -114,7 +109,6 @@ class StreamingSkyline:
         d: int,
         anchors: int = 8,
         counter: DominanceCounter | None = None,
-        backend: str = "map",
         window: int | None = None,
     ) -> None:
         if d < 1:
@@ -128,11 +122,8 @@ class StreamingSkyline:
         self._window = window
         self._counter = counter if counter is not None else DominanceCounter()
         # Id-only container: streaming gathers rows from its own columnar
-        # store, but index construction stays on the sanctioned backend
-        # switch so map/flat selection is a one-argument choice.
-        self._store = SubsetContainer(
-            None, d, counter=self._counter, backend=backend
-        )
+        # store, which grows as points arrive.
+        self._store = SubsetContainer(None, d, counter=self._counter)
         self._anchor_block = np.empty((anchors, d), dtype=np.float64)
         self._n_anchors = 0
         self._powers = np.int64(1) << np.arange(d, dtype=np.int64)
@@ -159,7 +150,6 @@ class StreamingSkyline:
         counter: DominanceCounter | None = None,
         engine: "SkylineEngine | None" = None,
         algorithm: str | None = None,
-        backend: str = "map",
         window: int | None = None,
         skyline_ids: "Sequence[int] | np.ndarray | None" = None,
     ) -> "StreamingSkyline":
@@ -193,7 +183,6 @@ class StreamingSkyline:
             dataset.dimensionality,
             anchors=anchors,
             counter=counter,
-            backend=backend,
             window=window,
         )
         values = dataset.values

@@ -52,16 +52,6 @@ class TestRegistry:
         with pytest.raises(UnknownAlgorithmError):
             get_algorithm("sfs", sigma=3)
 
-    def test_index_backend_forwarded_to_boost(self):
-        algo = get_algorithm("sfs-subset", index_backend="flat")
-        assert isinstance(algo, SubsetBoost)
-        assert algo.index_backend == "flat"
-        assert get_algorithm("sfs-subset").index_backend == "map"
-
-    def test_index_backend_on_plain_algorithm_rejected(self):
-        with pytest.raises(UnknownAlgorithmError):
-            get_algorithm("sfs", index_backend="flat")
-
     def test_every_name_instantiates(self):
         for name in available_algorithms():
             instance = get_algorithm(name)

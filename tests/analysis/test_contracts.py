@@ -28,8 +28,8 @@ class TestCheckedContainer:
         assert sorted(container.ids()) == [0, 1]
 
     def test_detects_overbroad_query(self, monkeypatch):
-        # Sabotage the production query path (``query_array`` backs
-        # ``candidates``): return every stored point regardless of mask.
+        # Sabotage the production query path (``SkylineIndex.candidates``
+        # backs the container): return every stored point regardless of mask.
         def everything(self, subspace, counter=None):
             out = []
             stack = [self._root]
@@ -37,9 +37,10 @@ class TestCheckedContainer:
                 node = stack.pop()
                 out.extend(node.points)
                 stack.extend(node.children.values())
-            return np.asarray(out, dtype=np.intp)
+            ids = np.asarray(out, dtype=np.intp)
+            return ids, self._values[ids]
 
-        monkeypatch.setattr(SkylineIndex, "query_array", everything)
+        monkeypatch.setattr(SkylineIndex, "candidates", everything)
         values = np.array([[0.1, 0.9], [0.9, 0.1]])
         container = CheckedSubsetContainer(values, d=2)
         container.add(0, 0b01)
@@ -48,12 +49,13 @@ class TestCheckedContainer:
             container.candidates(0b01)
 
     def test_detects_lossy_query(self, monkeypatch):
-        original = SkylineIndex.query_array
+        original = SkylineIndex.candidates
 
         def lossy(self, subspace, counter=None):
-            return original(self, subspace, counter)[:-1]
+            ids, rows = original(self, subspace, counter)
+            return ids[:-1], rows[:-1]
 
-        monkeypatch.setattr(SkylineIndex, "query_array", lossy)
+        monkeypatch.setattr(SkylineIndex, "candidates", lossy)
         values = np.array([[0.1, 0.9], [0.9, 0.1]])
         container = CheckedSubsetContainer(values, d=2)
         container.add(0, 0b01)
@@ -83,9 +85,10 @@ class TestEndToEnd:
                 node = stack.pop()
                 out.extend(node.points)
                 stack.extend(node.children.values())
-            return np.asarray(out, dtype=np.intp)
+            ids = np.asarray(out, dtype=np.intp)
+            return ids, self._values[ids]
 
-        monkeypatch.setattr(SkylineIndex, "query_array", everything)
+        monkeypatch.setattr(SkylineIndex, "candidates", everything)
         findings = run_contract_checks(kinds=("UI",), n=80, d=4, seeds=(1,))
         assert findings
         assert all(f.rule == "contract" for f in findings)

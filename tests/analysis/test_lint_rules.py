@@ -338,14 +338,14 @@ class TestRPR007HandBuiltIndex:
         assert [f.rule for f in findings] == ["RPR007"]
         assert "SubsetContainer" in findings[0].message
 
-    def test_flags_flat_backend_construction(self, tmp_path):
+    def test_flags_module_qualified_construction(self, tmp_path):
         findings = lint_source(
             tmp_path,
             """
-            from repro.core import flat_index
+            from repro.core import subset_index
 
             def f(d):
-                return flat_index.FlatSubsetIndex(d)
+                return subset_index.SkylineIndex(d)
             """,
             select=["RPR007"],
         )

@@ -2,7 +2,7 @@
 
 These are the acceptance-criterion mutations for the analysis subsystem:
 
-1. breaking the superset filter behind ``SkylineIndex.query_array`` (the
+1. breaking the superset filter behind ``SkylineIndex.candidates`` (the
    entry point the containers scan through) makes the contract layer (and
    hence ``--strict`` / ``--contracts``) exit non-zero;
 2. dropping a ``counter`` argument from a kernel call is caught by the
@@ -30,18 +30,19 @@ def _overbroad_query(self, subspace, counter=None):
         node = stack.pop()
         out.extend(node.points)
         stack.extend(node.children.values())
-    return np.asarray(out, dtype=np.intp)
+    ids = np.asarray(out, dtype=np.intp)
+    return ids, self._values[ids]
 
 
 class TestBrokenSupersetFilter:
     def test_contract_layer_fails(self, monkeypatch):
-        monkeypatch.setattr(SkylineIndex, "query_array", _overbroad_query)
+        monkeypatch.setattr(SkylineIndex, "candidates", _overbroad_query)
         findings = run_contract_checks(kinds=("UI",), n=80, d=4, seeds=(1,))
         assert findings
         assert gate_exit_code(findings) == 1
 
     def test_cli_contract_gate_exits_nonzero(self, monkeypatch, capsys):
-        monkeypatch.setattr(SkylineIndex, "query_array", _overbroad_query)
+        monkeypatch.setattr(SkylineIndex, "candidates", _overbroad_query)
         assert main(["--no-lint", "--contracts"]) == 1
         assert "Lemma 5.1" in capsys.readouterr().out
 

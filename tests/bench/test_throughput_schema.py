@@ -47,7 +47,7 @@ class TestReportSchema:
     def test_upsert_replaces_not_appends(self, bench, tmp_path):
         target = tmp_path / "BENCH.json"
         report = bench.load_report(target)
-        key = bench.scenario_key("flat_vs_map", "UI", 100, 4, 0)
+        key = bench.scenario_key("batched_vs_scalar", "UI", 100, 4, 0)
         bench.upsert(report, key, {"speedup": 1.0})
         bench.upsert(report, key, {"speedup": 2.0})
         assert len(report["scenarios"]) == 1
@@ -56,10 +56,10 @@ class TestReportSchema:
     def test_distinct_configs_coexist(self, bench):
         report = {"schema_version": bench.SCHEMA_VERSION, "scenarios": {}}
         bench.upsert(
-            report, bench.scenario_key("flat_vs_map", "UI", 100, 4, 0), {}
+            report, bench.scenario_key("batched_vs_scalar", "UI", 100, 4, 0), {}
         )
         bench.upsert(
-            report, bench.scenario_key("flat_vs_map", "UI", 4000, 6, 0), {}
+            report, bench.scenario_key("batched_vs_scalar", "UI", 4000, 6, 0), {}
         )
         bench.upsert(
             report, bench.scenario_key("block_parallel", "UI", 100, 4, 0), {}
@@ -121,14 +121,13 @@ class TestTrajectoryHistory:
     def test_plan_carried_into_samples(self, bench):
         report = {"schema_version": bench.SCHEMA_VERSION, "scenarios": {}}
         key = bench.scenario_key("repeated_queries", "UI", 100, 4, 0)
-        plan = {"algorithm": "sfs-subset", "index_backend": "map"}
+        plan = {"algorithm": "sfs-subset", "workers": 1}
         bench.upsert(report, key, {"cold_s": 1.0, "plan": plan})
         assert report["scenarios"][key]["history"][0]["plan"] == plan
 
     def test_plan_fields_extracts_executed_plan(self, bench):
         class Plan:
             label = "sdi-subset"
-            index_backend = "flat"
             incremental = None
             parallel_strategy = "blocks"
             workers = 4
@@ -136,11 +135,38 @@ class TestTrajectoryHistory:
         fields = bench.plan_fields(Plan())
         assert fields == {
             "algorithm": "sdi-subset",
-            "index_backend": "flat",
             "incremental": False,
             "parallel_strategy": "blocks",
             "workers": 4,
         }
+
+
+class TestScenarios:
+    def test_scenarios_in_run_order(self, bench):
+        assert bench.SCENARIOS == (
+            "batched_vs_scalar",
+            "block_parallel",
+            "repeated_queries",
+            "incremental_repair",
+            "phases",
+        )
+
+    def test_pr2_gate_judges_the_batched_scan(self, bench, monkeypatch):
+        # Shrink the canonical configuration so the gate runs in a test;
+        # baselines far above or below any real scan time fix the verdict.
+        config = ("UI", 300, 4, 0)
+        monkeypatch.setattr(bench, "PR2_BASELINE_CONFIG", config)
+        monkeypatch.setattr(bench, "PR2_BATCHED_BASELINE_S", dict.fromkeys(bench.HOSTS, 1e3))
+        report, ok = bench.run_batched_vs_scalar(*config, repeats=1)
+        assert ok and report["gate_pass"] is True
+        assert report["gate_speedup"] == bench.PR2_GATE_SPEEDUP == 1.5
+        assert all("speedup_vs_pr2" in host for host in report["hosts"].values())
+        monkeypatch.setattr(bench, "PR2_BATCHED_BASELINE_S", dict.fromkeys(bench.HOSTS, 1e-9))
+        report, ok = bench.run_batched_vs_scalar(*config, repeats=1)
+        assert not ok and report["gate_pass"] is False
+        # Off the canonical configuration the gate is not evaluated.
+        report, ok = bench.run_batched_vs_scalar("UI", 300, 3, 0, repeats=1)
+        assert ok and "gate_pass" not in report
 
 
 class TestGateStatus:
@@ -188,6 +214,19 @@ class TestGateStatus:
         out = capsys.readouterr().out
         assert key in out
         assert "wall-gate=PASS" in out
+
+    def test_list_scenarios_marks_retired_scenarios(self, bench, tmp_path, capsys):
+        target = tmp_path / "BENCH.json"
+        report = bench.load_report(target)
+        retired = bench.scenario_key("flat_vs_map", "UI", 1000, 6, 0)
+        current = bench.scenario_key("batched_vs_scalar", "UI", 1000, 6, 0)
+        bench.upsert(report, retired, {"gate_pass": True})
+        bench.upsert(report, current, {"identical": True})
+        target.write_text(json.dumps(report))
+        assert bench.main(["--list-scenarios", "--out", str(target)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"{retired}  [retired: history only]" in lines
+        assert current in lines
 
     def test_list_scenarios_empty_report(self, bench, tmp_path, capsys):
         assert (

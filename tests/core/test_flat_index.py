@@ -1,4 +1,10 @@
-"""FlatSubsetIndex: units, compaction edges, and the flat-vs-map bridge."""
+"""The flat-layout contract on SkylineIndex's fused row cache.
+
+The row-gathering cache entry (ids plus ``values[ids]`` from one probe) is
+the flat layout's surviving feature; these tests hold ``SkylineIndex``
+built with ``values=`` to the same put/query contract, and bridge its
+memoized fused path to the unmemoized tree walk over full boosted scans.
+"""
 
 import numpy as np
 import pytest
@@ -6,8 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.boost import run_boosted_scan
-from repro.core.container import SubsetContainer
-from repro.core.flat_index import _COMPACT_MIN, FlatSubsetIndex
 from repro.core.subset_index import SkylineIndex
 from repro.data import generate
 from repro.errors import DimensionMismatchError, InvalidParameterError
@@ -23,9 +27,21 @@ def brute_query(stored: list[tuple[int, int]], subspace: int) -> list[int]:
     return [pid for pid, mask in stored if subspace & ~mask == 0]
 
 
+def fused_index(d: int, n: int = 64) -> tuple[SkylineIndex, np.ndarray]:
+    values = np.arange(float(n * d)).reshape(n, d)
+    return SkylineIndex(d, values=values), values
+
+
+def fused_ids(idx: SkylineIndex, subspace: int, values: np.ndarray) -> list[int]:
+    """``candidates()`` ids, after checking its rows are ``values[ids]``."""
+    ids, rows = idx.candidates(subspace)
+    assert np.array_equal(rows, values[ids])
+    return ids.tolist()
+
+
 class TestPutQuery:
     def test_paper_example(self):
-        """Figure 3's subspace family answered by the flat filter."""
+        """Figure 3's subspace family answered by the fused row path."""
         d = 8
         figure_reversed = [
             {1, 2},
@@ -36,101 +52,67 @@ class TestPutQuery:
             {3, 7},
             {5, 7},
         ]
-        idx = FlatSubsetIndex(d)
+        idx, values = fused_index(d)
         for pid, reversed_dims in enumerate(figure_reversed):
             idx.put(pid, bitset.complement(bitset.from_dims(reversed_dims), d))
         query_mask = bitset.complement(bitset.from_dims({1, 3, 5}), d)
+        assert set(fused_ids(idx, query_mask, values)) == {2, 4}
         assert set(idx.query(query_mask)) == {2, 4}
 
-    def test_results_in_insertion_order(self):
-        idx = FlatSubsetIndex(d=4)
-        for pid, mask in [(9, 0b1111), (2, 0b0011), (7, 0b1011), (1, 0b0011)]:
-            idx.put(pid, mask)
-        assert idx.query(0b0011) == [9, 2, 7, 1]
-        assert idx.query(0b1011) == [9, 7]
-
     def test_empty_index_queries_clean(self):
-        idx = FlatSubsetIndex(d=3)
+        idx, values = fused_index(3)
         counter = DominanceCounter()
         assert idx.query(0b101, counter) == []
-        assert idx.query_array(0b101).tolist() == []
+        ids, rows = idx.candidates(0b101, counter)
+        assert ids.tolist() == []
+        assert rows.shape == (0, 3)
         assert len(idx) == 0
-        assert idx.node_count() == 0
+        assert idx.node_count() == 1  # the root alone
+        assert counter.tests == 0
 
     def test_single_mask_group(self):
-        idx = FlatSubsetIndex(d=3)
+        idx, values = fused_index(3)
         for pid in range(5):
             idx.put(pid, 0b110)
-        assert idx.query(0b010) == list(range(5))
-        assert idx.query(0b001) == []
-        assert idx.group_count() == 1
+        assert fused_ids(idx, 0b010, values) == list(range(5))
+        assert fused_ids(idx, 0b001, values) == []
+        assert idx.subspaces() == {0b110: list(range(5))}
 
     def test_duplicate_masks_keep_all_points(self):
-        idx = FlatSubsetIndex(d=4)
+        idx, values = fused_index(4)
         stored = [(pid, 0b0110 if pid % 2 else 0b1111) for pid in range(12)]
         for pid, mask in stored:
             idx.put(pid, mask)
         for q in (0b0110, 0b0010, 0b1111, 0b0001):
+            assert fused_ids(idx, q, values) == brute_query(stored, q)
             assert idx.query(q) == brute_query(stored, q)
-        assert idx.group_count() == 2
+        assert len(idx.subspaces()) == 2
 
     def test_invalid_dimensionality_rejected(self):
         with pytest.raises(InvalidParameterError):
-            FlatSubsetIndex(d=0)
+            SkylineIndex(d=0, values=np.zeros((1, 1)))
 
     def test_out_of_range_mask_rejected(self):
-        idx = FlatSubsetIndex(d=3)
+        idx, _ = fused_index(3)
         with pytest.raises(DimensionMismatchError):
             idx.put(0, 0b1000)
         with pytest.raises(DimensionMismatchError):
             idx.query(0b1000)
-
-    def test_candidates_requires_values(self):
-        with pytest.raises(InvalidParameterError):
-            FlatSubsetIndex(d=3).candidates(0b001)
-
-    def test_candidates_returns_gathered_rows(self):
-        values = np.arange(12.0).reshape(4, 3)
-        idx = FlatSubsetIndex(d=3, values=values)
-        idx.put(2, 0b111)
-        idx.put(0, 0b011)
-        ids, rows = idx.candidates(0b011)
-        assert ids.tolist() == [2, 0]
-        assert np.array_equal(rows, values[[2, 0]])
-        # Repeated probe serves the same entry, repaired in place.
-        idx.put(3, 0b111)
-        ids, rows = idx.candidates(0b011)
-        assert ids.tolist() == [2, 0, 3]
-        assert np.array_equal(rows, values[[2, 0, 3]])
+        with pytest.raises(DimensionMismatchError):
+            idx.candidates(0b1000)
 
 
 class TestCompaction:
-    def test_tail_folds_after_threshold(self):
-        idx = FlatSubsetIndex(d=6)
-        stored = [(pid, (pid % 7) + 1) for pid in range(_COMPACT_MIN * 3)]
-        for pid, mask in stored:
-            idx.put(pid, mask)
-        # At least one compaction must have happened for this volume.
-        assert idx._tail_n < len(stored)
-        for q in (0b000001, 0b000011, 0b000111):
-            assert idx.query(q) == brute_query(stored, q)
-
-    def test_query_consistent_across_compaction_boundary(self):
-        idx = FlatSubsetIndex(d=4)
-        stored = []
-        for pid in range(2 * _COMPACT_MIN + 5):
-            mask = 0b1111 if pid % 3 else 0b0101
-            idx.put(pid, mask)
-            stored.append((pid, mask))
-            assert idx.query(0b0101) == brute_query(stored, 0b0101)
+    """Shrinking changes and the diagnostic views of a fused index."""
 
     def test_remove_and_clear(self):
-        idx = FlatSubsetIndex(d=3)
+        idx, values = fused_index(3)
         idx.put(1, 0b011)
         idx.put(2, 0b011)
+        assert fused_ids(idx, 0b001, values) == [1, 2]
         epoch = idx.epoch
         idx.remove(1, 0b011)
-        assert idx.query(0b001) == [2]
+        assert fused_ids(idx, 0b001, values) == [2]
         assert idx.epoch == epoch + 1
         with pytest.raises(KeyError):
             idx.remove(1, 0b011)
@@ -138,10 +120,10 @@ class TestCompaction:
             idx.remove(2, 0b111)
         idx.clear()
         assert len(idx) == 0
-        assert idx.query(0b001) == []
+        assert fused_ids(idx, 0b001, values) == []
 
     def test_subspaces_and_occupancy_views(self):
-        idx = FlatSubsetIndex(d=3)
+        idx, _ = fused_index(3)
         idx.put(0, 0b011)
         idx.put(1, 0b011)
         idx.put(2, 0b111)
@@ -164,42 +146,48 @@ def put_query_sequences(draw):
 
 
 class TestFlatVsMapBridge:
+    """The fused row path against the id-only index and the tree walk."""
+
     @given(put_query_sequences())
     @settings(max_examples=60, deadline=None)
     def test_interleaved_puts_and_queries_match(self, seq):
         """Same put/query stream → same ids and same cache accounting."""
         d, puts, queries = seq
-        flat, tree = FlatSubsetIndex(d), SkylineIndex(d)
-        flat_counter, tree_counter = DominanceCounter(), DominanceCounter()
+        values = np.random.default_rng(0).random((max(len(puts), 1), d))
+        fused, tree = SkylineIndex(d, values=values), SkylineIndex(d)
+        fused_counter, tree_counter = DominanceCounter(), DominanceCounter()
         for pid, mask in enumerate(puts):
-            flat.put(pid, mask)
+            fused.put(pid, mask)
             tree.put(pid, mask)
         for mask in queries:
-            assert flat.query(mask, flat_counter) == tree.query(mask, tree_counter)
-        flat_stats, tree_stats = flat.cache_stats(), tree.cache_stats()
-        assert flat_stats["hits"] == tree_stats["hits"]
-        assert flat_stats["misses"] == tree_stats["misses"]
-        assert flat_counter.index_cache_hits == tree_counter.index_cache_hits
-        assert flat_counter.index_cache_misses == tree_counter.index_cache_misses
+            ids, rows = fused.candidates(mask, fused_counter)
+            assert ids.tolist() == tree.query(mask, tree_counter)
+            assert np.array_equal(rows, values[ids])
+        fused_stats, tree_stats = fused.cache_stats(), tree.cache_stats()
+        assert fused_stats["hits"] == tree_stats["hits"]
+        assert fused_stats["misses"] == tree_stats["misses"]
+        assert fused_counter.index_cache_hits == tree_counter.index_cache_hits
+        assert fused_counter.index_cache_misses == tree_counter.index_cache_misses
+        assert fused_counter.index_nodes_visited == tree_counter.index_nodes_visited
 
     @pytest.mark.parametrize("host_factory", [SFS, SaLSa, SDI])
     @pytest.mark.parametrize("kind", ["UI", "CO", "AC"])
     def test_boosted_scan_bit_identical(self, host_factory, kind):
-        """Full boosted scans charge identical tests on either backend."""
+        """Memoized and tree-walk boosted scans charge identical tests."""
         dataset = generate(kind, n=600, d=5, seed=11)
         results = {}
-        for backend in ("map", "flat"):
+        for memoize in (True, False):
             counter = DominanceCounter()
             skyline = run_boosted_scan(
-                dataset, host_factory(), counter, index_backend=backend
+                dataset, host_factory(), counter, memoize=memoize
             )
-            results[backend] = (skyline, counter)
-        map_sky, map_counter = results["map"]
-        flat_sky, flat_counter = results["flat"]
-        assert map_sky == flat_sky
-        assert map_counter.tests == flat_counter.tests
-        assert map_counter.index_cache_hits == flat_counter.index_cache_hits
-        assert map_counter.index_cache_misses == flat_counter.index_cache_misses
+            results[memoize] = (skyline, counter)
+        memo_sky, memo_counter = results[True]
+        walk_sky, walk_counter = results[False]
+        assert memo_sky == walk_sky
+        assert memo_counter.tests == walk_counter.tests
+        assert memo_counter.index_queries == walk_counter.index_queries
+        assert walk_counter.index_cache_hits == walk_counter.index_cache_misses == 0
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -211,25 +199,11 @@ class TestFlatVsMapBridge:
         d = 6
         sigma = min(sigma_d, d)
         dataset = generate(kind, n=200, d=d, seed=seed % 1000)
-        per_backend = {}
-        for backend in ("map", "flat"):
+        per_mode = {}
+        for memoize in (True, False):
             counter = DominanceCounter()
             skyline = run_boosted_scan(
-                dataset, SFS(), counter, sigma=sigma, index_backend=backend
+                dataset, SFS(), counter, sigma=sigma, memoize=memoize
             )
-            per_backend[backend] = (skyline, counter.tests)
-        assert per_backend["map"] == per_backend["flat"]
-
-
-class TestContainerBackendSelection:
-    def test_invalid_backend_rejected(self):
-        values = np.zeros((2, 3))
-        with pytest.raises(InvalidParameterError):
-            SubsetContainer(values, 3, backend="btree")
-
-    def test_backend_property_reports_choice(self):
-        values = np.zeros((2, 3))
-        assert SubsetContainer(values, 3).backend == "map"
-        flat = SubsetContainer(values, 3, backend="flat")
-        assert flat.backend == "flat"
-        assert isinstance(flat.index, FlatSubsetIndex)
+            per_mode[memoize] = (skyline, counter.tests)
+        assert per_mode[True] == per_mode[False]

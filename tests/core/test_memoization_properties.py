@@ -30,14 +30,14 @@ ops = st.lists(
 )
 
 
-def _run_interleaved(op_list, check):
+def _run_interleaved(op_list, check, values=None):
     """Drive a memoized and an unmemoized index through ``op_list``.
 
     ``check(memo, plain, memo_counter, plain_counter, mask)`` is invoked at
-    every query op.
+    every query op; ``values`` (one row per op) backs ``candidates()``.
     """
-    memo = SkylineIndex(D, memoize=True)
-    plain = SkylineIndex(D, memoize=False)
+    memo = SkylineIndex(D, memoize=True, values=values)
+    plain = SkylineIndex(D, memoize=False, values=values)
     memo_counter = DominanceCounter()
     plain_counter = DominanceCounter()
     stored: list[tuple[int, int]] = []
@@ -83,16 +83,19 @@ def test_memoized_query_results_identical(op_list):
 
 @settings(max_examples=120, deadline=None)
 @given(ops)
-def test_query_array_matches_query(op_list):
+def test_candidates_match_query(op_list):
+    values = np.arange(float(len(op_list) * D)).reshape(len(op_list), D)
+
     def check(memo, plain, memo_counter, plain_counter, mask):
-        arr = memo.query_array(mask)
+        arr, rows = memo.candidates(mask)
         assert arr.dtype == np.intp
         assert not arr.flags.writeable
         assert arr.tolist() == plain.query(mask)
+        assert np.array_equal(rows, values[arr])
         # The cached array and the list view stay coherent.
         assert arr.tolist() == memo.query(mask)
 
-    _run_interleaved(op_list, check)
+    _run_interleaved(op_list, check, values)
 
 
 @settings(max_examples=60, deadline=None)

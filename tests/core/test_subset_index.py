@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,13 @@ class TestPutQuery:
         idx = SkylineIndex(4)
         idx.put(1, 0b0011)
         assert idx.query(0b0100) == []
+
+    def test_results_in_insertion_order(self):
+        idx = SkylineIndex(4)
+        for pid, mask in [(9, 0b1111), (2, 0b0011), (7, 0b1011), (1, 0b0011)]:
+            idx.put(pid, mask)
+        assert idx.query(0b0011) == [9, 2, 7, 1]
+        assert idx.query(0b1011) == [9, 7]
 
     def test_multiple_points_same_subspace(self):
         idx = SkylineIndex(4)
@@ -215,6 +223,106 @@ class TestRemove:
         idx.put(2, 0b0011)
         idx.remove(1, 0b0011)
         assert idx.query(0b0011) == [2]
+
+
+class TestFusedCandidates:
+    """``candidates()``: ids plus gathered rows from one cache probe."""
+
+    def test_candidates_returns_gathered_rows(self):
+        values = np.arange(12.0).reshape(4, 3)
+        idx = SkylineIndex(3, values=values)
+        idx.put(2, 0b111)
+        idx.put(0, 0b011)
+        ids, rows = idx.candidates(0b011)
+        assert ids.tolist() == [2, 0]
+        assert np.array_equal(rows, values[[2, 0]])
+        # A repeated probe serves the same entry, repaired from the log.
+        idx.put(3, 0b111)
+        ids, rows = idx.candidates(0b011)
+        assert ids.tolist() == [2, 0, 3]
+        assert np.array_equal(rows, values[[2, 0, 3]])
+
+    def test_candidates_requires_values(self):
+        idx = SkylineIndex(3)
+        idx.put(0, 0b011)
+        with pytest.raises(InvalidParameterError):
+            idx.candidates(0b001)
+        assert idx.query(0b001) == [0]
+
+    def test_earlier_views_unchanged_by_later_puts(self):
+        values = np.arange(200.0).reshape(50, 4)
+        idx = SkylineIndex(4, values=values)
+        idx.put(0, 0b1111)
+        ids, rows = idx.candidates(0b0001)
+        ids_before, rows_before = ids.copy(), rows.copy()
+        # Enough puts to append in place and then to outgrow the buffers.
+        for pid in range(1, 50):
+            idx.put(pid, 0b1111)
+            idx.candidates(0b0001)
+        assert np.array_equal(ids, ids_before)
+        assert np.array_equal(rows, rows_before)
+        assert not ids.flags.writeable
+
+    def test_unmemoized_candidates_charge_a_traversal_each(self):
+        values = np.arange(12.0).reshape(4, 3)
+        counter = DominanceCounter()
+        idx = SkylineIndex(3, memoize=False, values=values)
+        idx.put(1, 0b011)
+        for _ in range(3):
+            ids, rows = idx.candidates(0b001, counter)
+            assert ids.tolist() == [1]
+            assert np.array_equal(rows, values[[1]])
+        assert counter.index_queries == 3
+        assert counter.index_cache_hits == counter.index_cache_misses == 0
+        assert idx.cache_stats()["entries"] == 0
+
+
+_FUSED_D = 4
+_fused_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, (1 << _FUSED_D) - 1)),
+        st.tuples(st.just("candidates"), st.integers(0, (1 << _FUSED_D) - 1)),
+        st.tuples(st.just("remove"), st.integers(0, 10**6)),
+        st.tuples(st.just("clear"), st.just(0)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fused_ops)
+def test_fused_candidates_match_brute_force(ops):
+    """Interleaved put/remove/clear/candidates on memoized and unmemoized
+    indexes: ids are exactly the stored supersets in insertion order, rows
+    are ``values[ids]``, and both modes agree on ids, rows and queries."""
+    values = np.random.default_rng(0).random((len(ops), _FUSED_D))
+    memo = SkylineIndex(_FUSED_D, values=values)
+    plain = SkylineIndex(_FUSED_D, memoize=False, values=values)
+    memo_counter, plain_counter = DominanceCounter(), DominanceCounter()
+    stored: list[tuple[int, int]] = []  # insertion order
+    for pid, (kind, arg) in enumerate(ops):
+        if kind == "put":
+            for idx in (memo, plain):
+                idx.put(pid, arg)
+            stored.append((pid, arg))
+        elif kind == "remove" and stored:
+            point_id, mask = stored.pop(arg % len(stored))
+            for idx in (memo, plain):
+                idx.remove(point_id, mask)
+        elif kind == "clear":
+            for idx in (memo, plain):
+                idx.clear()
+            stored.clear()
+        elif kind == "candidates":
+            expected = [point_id for point_id, mask in stored if arg & ~mask == 0]
+            memo_ids, memo_rows = memo.candidates(arg, memo_counter)
+            plain_ids, plain_rows = plain.candidates(arg, plain_counter)
+            assert memo_ids.tolist() == plain_ids.tolist() == expected
+            assert np.array_equal(memo_rows, values[expected])
+            assert np.array_equal(plain_rows, values[expected])
+    assert memo_counter.index_queries == plain_counter.index_queries
+    assert memo_counter.tests == plain_counter.tests == 0
 
 
 class TestExhaustiveSmallSpace:

@@ -26,7 +26,7 @@ def adaptive_result(dataset):
 @pytest.fixture(scope="module")
 def repair_result(dataset):
     engine = SkylineEngine(ExecutionContext(tracer=Tracer()))
-    engine.execute(dataset, index_backend="flat", workers=1)
+    engine.execute(dataset, workers=1)
     rng = np.random.default_rng(5)
     engine.apply_delta(dataset, inserts=rng.random((5, 4)))
     result = engine.execute(dataset, workers=1)

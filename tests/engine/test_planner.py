@@ -48,8 +48,9 @@ class TestPinned:
             plan_for(ui_medium, "sfs", workers=0)
 
     def test_invalid_index_backend_rejected(self, ui_medium):
-        with pytest.raises(InvalidParameterError):
-            plan_for(ui_medium, "sfs-subset", index_backend="btree")
+        # There is one subset index; the planner takes no backend option.
+        with pytest.raises(TypeError):
+            plan_for(ui_medium, "sfs-subset", index_backend="map")
 
     def test_pinned_defaults_stay_direct_call_compatible(self, ui_medium):
         plan = plan_for(ui_medium, "sfs-subset")
@@ -57,10 +58,8 @@ class TestPinned:
         assert plan.workers == 1
 
     def test_pinned_backend_and_workers_honoured(self, ui_medium):
-        plan = plan_for(
-            ui_medium, "sfs-subset", index_backend="flat", workers=3
-        )
-        assert plan.index_backend == "flat"
+        plan = plan_for(ui_medium, "sfs-subset", workers=3)
+        assert plan.index_backend == "map"
         assert plan.workers == 3
 
 
@@ -131,22 +130,6 @@ class TestAdaptiveBackendAndWorkers:
         assert plan.boosted
         assert plan.index_backend == "map"
 
-    def test_high_d_selects_flat_index(self):
-        plan = plan_for(generate("UI", n=2000, d=6, seed=4))
-        assert plan.boosted
-        assert plan.index_backend == "flat"
-        assert any("flat" in reason for reason in plan.reasons)
-
-    def test_large_n_selects_flat_index(self):
-        plan = plan_for(generate("UI", n=25_000, d=4, seed=5))
-        if plan.boosted:
-            assert plan.index_backend == "flat"
-
-    def test_pinned_backend_overrides_adaptive_choice(self):
-        plan = plan_for(generate("UI", n=2000, d=6, seed=4), index_backend="map")
-        assert plan.index_backend == "map"
-        assert any("pinned" in reason for reason in plan.reasons)
-
     def test_unboosted_plans_keep_inert_map_field(self):
         plan = plan_for(generate("UI", n=200, d=3, seed=3))
         assert not plan.boosted
@@ -205,12 +188,3 @@ class TestPlanRendering:
         subset = plan_for(ui_medium, "sfs-subset", container="subset")
         listy = plan_for(ui_medium, "sfs-subset", container="list", memoize=False)
         assert subset.sort_cache_key == listy.sort_cache_key
-
-    def test_explain_reports_index_backend(self, ui_medium):
-        text = plan_for(ui_medium, "sfs-subset", index_backend="flat").explain()
-        assert "index=flat" in text
-
-    def test_sort_cache_key_ignores_index_backend(self, ui_medium):
-        map_plan = plan_for(ui_medium, "sfs-subset", index_backend="map")
-        flat_plan = plan_for(ui_medium, "sfs-subset", index_backend="flat")
-        assert map_plan.sort_cache_key == flat_plan.sort_cache_key

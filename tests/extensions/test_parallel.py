@@ -57,33 +57,15 @@ class TestParallelSkyline:
         )
         assert list(got) == brute_skyline_ids(dataset.values)
 
-    def test_boosted_blocks_with_flat_merge(self, dataset):
-        """Local boosted scans + merge through a flat-backend subset index."""
+    def test_boosted_blocks_with_boosted_merge(self, dataset):
+        """Local boosted scans + merge through the subset index."""
         got = parallel_skyline(
             dataset,
             workers=2,
             algorithm="sfs-subset",
             merge_algorithm="sfs-subset",
-            index_backend="flat",
         )
         assert list(got) == brute_skyline_ids(dataset.values)
-
-    def test_index_backend_matches_map_results(self, dataset):
-        flat = parallel_skyline(
-            dataset,
-            workers=3,
-            algorithm="sdi-subset",
-            merge_algorithm="sdi-subset",
-            index_backend="flat",
-        )
-        mapped = parallel_skyline(
-            dataset,
-            workers=3,
-            algorithm="sdi-subset",
-            merge_algorithm="sdi-subset",
-            index_backend="map",
-        )
-        assert list(flat) == list(mapped)
 
     def test_duplicate_heavy(self, duplicate_heavy):
         got = parallel_skyline(duplicate_heavy, workers=3)
@@ -245,13 +227,13 @@ class TestDominanceBudget:
         serial = DominanceCounter()
         engine = SkylineEngine()
         serial_result = engine.execute(
-            dataset, "sdi-subset", counter=serial, index_backend="flat", workers=1
+            dataset, "sdi-subset", counter=serial, workers=1
         )
         engine.close()
         parallel = DominanceCounter()
         engine = SkylineEngine()
         parallel_result = engine.execute(
-            dataset, "sdi-subset", counter=parallel, index_backend="flat", workers=2
+            dataset, "sdi-subset", counter=parallel, workers=2
         )
         engine.close()
         assert list(serial_result.indices) == list(parallel_result.indices)

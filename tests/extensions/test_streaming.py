@@ -216,7 +216,6 @@ def test_random_interleavings_match_batch(ops):
         assert sky.skyline_ids() == []
 
 
-@pytest.mark.parametrize("backend", ["map", "flat"])
 @pytest.mark.parametrize("window", [None, 12])
 @settings(max_examples=15, deadline=None)
 @given(
@@ -234,15 +233,14 @@ def test_random_interleavings_match_batch(ops):
         max_size=20,
     )
 )
-def test_mutation_bridge_matches_oracle(backend, window, ops):
+def test_mutation_bridge_matches_oracle(window, ops):
     """Randomized mutation sequences track the brute-force oracle exactly.
 
     Drives every public mutation entry point (scalar and batched, with
-    and without a sliding window) on both subset-index backends; after
-    each step the live skyline must equal the oracle's and the charged
+    and without a sliding window); after each step the live skyline must equal the oracle's and the charged
     dominance-test counter must be monotone non-decreasing.
     """
-    sky = StreamingSkyline(d=2, anchors=2, backend=backend, window=window)
+    sky = StreamingSkyline(d=2, anchors=2, window=window)
     live: dict[int, list[float]] = {}
     last_tests = 0
     for batch, op, victims in ops:

@@ -186,7 +186,7 @@ class TestEngineRepairSpanExport:
 
         dataset = generate("UI", n=600, d=4, seed=3)
         engine = SkylineEngine(ExecutionContext(tracer=Tracer()))
-        engine.execute(dataset, index_backend="flat", workers=1)
+        engine.execute(dataset, workers=1)
         rng = np.random.default_rng(3)
         engine.apply_delta(dataset, inserts=rng.random((4, 4)))
         result = engine.execute(dataset, workers=1)
@@ -203,7 +203,6 @@ class TestEngineRepairSpanExport:
             if event["name"] == "engine.repair"
         )
         assert repair["args"]["pending"] >= 1
-        assert repair["args"]["backend"] in ("map", "flat")
         assert repair["ph"] == "X"
 
     def test_repair_span_aggregates_into_phase_table(self, repair_result):

@@ -86,7 +86,7 @@ def repair_run(traced):
         context = ExecutionContext()
     engine = SkylineEngine(context)
     dataset = generate("UI", n=10_000, d=6, seed=0)
-    engine.execute(dataset, index_backend="flat", workers=1)
+    engine.execute(dataset, workers=1)
     inserts = np.random.default_rng(9).random((8, 6))
     counter = DominanceCounter()
 

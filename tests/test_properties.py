@@ -141,32 +141,27 @@ def test_skyline_invariant_under_positive_affine_maps(values, shift, scale):
 @settings(max_examples=10, deadline=None)
 @given(datasets)
 def test_parallel_bridge_matches_serial(values):
-    """Prune-aware block-parallel == serial, across backends and mergers.
+    """Prune-aware block-parallel == serial, across partitions and mergers.
 
     Covers both partitioning modes (sort-order with the prefix exchange
-    and seeded merge, plus the legacy even split), both subset-index
-    backends, and both boosted merge algorithms — every combination must
-    reproduce the oracle skyline bit for bit.
+    and seeded merge, plus the legacy even split) and both boosted merge
+    algorithms — every combination must reproduce the oracle skyline bit
+    for bit.
     """
     from repro.extensions.parallel import get_pool, parallel_skyline
 
     expected = brute_skyline_ids(values)
     pool = get_pool(3)
     for partition in ("sorted", "even"):
-        for backend, merge_algorithm in (
-            ("map", "sfs-subset"),
-            ("flat", "sdi-subset"),
-        ):
+        for merge_algorithm in ("sfs-subset", "sdi-subset"):
             got = parallel_skyline(
                 values,
                 workers=3,
                 algorithm="sdi-subset",
                 merge_algorithm=merge_algorithm,
-                index_backend=backend,
                 partition=partition,
                 pool=pool,
             )
             assert list(got) == expected, (
-                f"parallel({partition}, {backend}, {merge_algorithm}) "
-                "disagrees with serial"
+                f"parallel({partition}, {merge_algorithm}) disagrees with serial"
             )
