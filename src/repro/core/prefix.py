@@ -19,10 +19,9 @@ This module provides the three pure kernels the parallel path composes:
   of that order: the *shared-survivor prefix* broadcast to all workers.
   Because the order is monotone, these are guaranteed global skyline
   points, so filtering against them never removes a skyline member;
-- :func:`prefix_filter` — the vectorised block filter, charging exactly
-  the dominance tests a sequential early-exit loop over the prefix would
-  pay per point (first dominating prefix position + 1, or the full prefix
-  length for survivors);
+- :func:`prefix_filter` — the vectorised block filter (one
+  :func:`~repro.dominance.dominance_matrix` pass), charging exactly the
+  dominance tests a sequential early-exit loop over the prefix would pay;
 - :func:`block_bounds` — planner-driven block sizing: geometric growth
   along the sort order, because survivor density (and therefore local scan
   cost) falls off monotonically once the prefix has filtered a block.
@@ -33,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.sortkeys import sort_keys, sum_tiebreak
-from repro.dominance import first_dominator
+from repro.dominance import dominance_matrix, first_dominator
 from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 
@@ -49,10 +48,6 @@ __all__ = [
 #: non-dominated points are found, so the factor bounds the selection cost
 #: at a few hundred cheap tests regardless of ``n``.
 _HEAD_FACTOR = 8
-
-#: Row-chunk size of the broadcast dominance pass in :func:`prefix_filter`.
-#: Bounds the ``chunk × prefix × d`` comparison temporaries at a few MB.
-_FILTER_CHUNK = 65_536
 
 
 def monotone_order(values: np.ndarray) -> np.ndarray:
@@ -119,21 +114,12 @@ def prefix_filter(
     n = block.shape[0]
     if n == 0 or prefix.shape[0] == 0:
         return np.ones(n, dtype=bool)
-    k = prefix.shape[0]
-    keep = np.empty(n, dtype=bool)
-    charged = 0
-    for start in range(0, n, _FILTER_CHUNK):
-        chunk = block[start : start + _FILTER_CHUNK]
-        le = (chunk[:, np.newaxis, :] >= prefix[np.newaxis, :, :]).all(axis=2)
-        strict = (chunk[:, np.newaxis, :] > prefix[np.newaxis, :, :]).any(axis=2)
-        dominated = le & strict
-        any_dominated = dominated.any(axis=1)
-        first = dominated.argmax(axis=1)
-        charged += int(np.where(any_dominated, first + 1, k).sum())
-        keep[start : start + chunk.shape[0]] = ~any_dominated
+    dominated = dominance_matrix(block, prefix)
+    any_dominated = dominated.any(axis=1)
     if counter is not None:
-        counter.add(charged)
-    return keep
+        first = dominated.argmax(axis=1)
+        counter.add(int(np.where(any_dominated, first + 1, prefix.shape[0]).sum()))
+    return ~any_dominated
 
 
 def block_bounds(n: int, workers: int, growth: float = 1.0) -> list[tuple[int, int]]:

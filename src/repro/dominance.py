@@ -1,16 +1,21 @@
-"""Dominance kernels: scalar and vectorised, with exact test accounting.
+"""Dominance kernels: scalar tests and the vectorised block primitives.
 
 Definition 3.1 of the paper (minimisation convention): ``p`` dominates ``q``
 when ``p[i] <= q[i]`` in every dimension and ``p[k] < q[k]`` in at least one.
 
 Pure-Python pairwise loops are the bottleneck of any skyline reproduction in
-Python, so this module also provides *block* kernels: one candidate point is
-compared against a contiguous block of points in a single numpy expression.
-The test count charged to the :class:`~repro.stats.counters.DominanceCounter`
-is exactly what a sequential early-exit loop would pay — ``index of the first
-dominator + 1``, or the block length when no row dominates — so the mean
-dominance test numbers reported by the harness are identical to a scalar
-implementation while running at numpy speed.
+Python, so this module also provides the two *block* primitives every
+vectorised caller is built on (see the "Dominance kernels" section of
+``docs/PERFORMANCE.md``):
+
+- :func:`first_dominator` — one point against a block, early exit, charging
+  exactly what a sequential loop would pay (``index of the first dominator
+  + 1``, or the block length when no row dominates);
+- :func:`dominance_matrix` — every row of one block against every row of
+  another, with no accounting: each caller charges its own rule.
+
+:func:`sum_order` is the scan order presorted callers share: every
+dominator precedes the points it dominates, even when float sums tie.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ __all__ = [
     "dominating_subspaces",
     "first_dominator",
     "first_dominator_prefix",
-    "dominance_mask",
+    "dominance_matrix",
+    "sum_order",
 ]
 
 
@@ -94,12 +100,63 @@ def dominating_subspaces(
     return (block < p).astype(np.int64) @ weights
 
 
-def dominance_mask(block: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Boolean array: which rows of ``block`` dominate ``q`` (no accounting)."""
-    block = np.asarray(block)
-    le = np.all(block <= q, axis=1)
-    eq = np.all(block == q, axis=1)
-    return le & ~eq
+#: (row, dominator) pairs evaluated per block of :func:`dominance_matrix`:
+#: its boolean temporaries stay at a few MB, and blocks stay long enough
+#: for numpy's unbuffered broadcast loops (see docs/PERFORMANCE.md §8).
+_MATRIX_BLOCK = 1 << 18
+
+
+def dominance_matrix(rows: np.ndarray, dominators: np.ndarray) -> np.ndarray:
+    """Boolean ``(len(rows), len(dominators))`` matrix, no accounting.
+
+    Entry ``[i, j]`` is true when ``dominators[j]`` dominates ``rows[i]``
+    (Definition 3.1): ``<=`` in every column and ``<`` in at least one.
+    Both passes compare column-major copies with the longer side
+    innermost, so numpy's inner loops run long whatever the shape.
+    ``rows`` is evaluated in blocks of ``_MATRIX_BLOCK`` pairs.
+
+    >>> import numpy as np
+    >>> dominance_matrix(np.array([[2.0, 2.0], [1.0, 1.0]]), np.array([[1.0, 1.0]]))
+    array([[ True],
+           [False]])
+    """
+    rows = np.asarray(rows)
+    dominators = np.asarray(dominators)
+    out = np.zeros((rows.shape[0], dominators.shape[0]), dtype=bool)
+    if out.size == 0:
+        return out
+    dominator_cols = np.ascontiguousarray(dominators.T)
+    step = max(1, _MATRIX_BLOCK // out.shape[1])
+    for start in range(0, rows.shape[0], step):
+        row_cols = np.ascontiguousarray(rows[start : start + step].T)
+        flip = row_cols.shape[1] > out.shape[1]  # rows innermost
+        dom = dominator_cols[:, :, None] if flip else dominator_cols[:, None, :]
+        row = row_cols[:, None, :] if flip else row_cols[:, :, None]
+        hits = (dom <= row).all(axis=0) & (dom < row).any(axis=0)
+        out[start : start + step] = hits.T if flip else hits
+    return out
+
+
+def sum_order(rows: np.ndarray) -> np.ndarray:
+    """Row order in which every dominator precedes the rows it dominates.
+
+    Ascending coordinate sum, stable.  A dominator's float sum is only
+    *weakly* below its victim's (``1.0 + 1e-17 == 1.0``), so when two sums
+    tie the order is recomputed as a lexsort on ``(sum, column 0, column
+    1, ...)``: among equal sums a dominator is lexicographically smaller.
+    Tie-free data pays one extra comparison pass.
+
+    >>> import numpy as np
+    >>> sum_order(np.array([[1.0, 1e-17], [1.0, 0.0], [0.5, 0.0]])).tolist()
+    [2, 1, 0]
+    """
+    rows = np.asarray(rows)
+    sums = rows.sum(axis=1)
+    order = np.argsort(sums, kind="stable")
+    ranked = sums[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.lexsort((*rows.T[::-1], sums))
+    return order
 
 
 #: First-chunk size of the early-exit scan in :func:`first_dominator`.

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.merge import MergeResult
-from repro.dominance import dominating_subspaces
+from repro.dominance import dominance_matrix, dominating_subspaces
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
@@ -188,13 +188,11 @@ def repair_merge_result(
     survivors = np.ones(k, dtype=bool)
     duplicate_inserts = np.zeros(k, dtype=bool)
     insert_masks = np.zeros(k, dtype=np.int64)
-    for pivot_id in pivots.tolist():
+    pivots_dominated = dominance_matrix(old_values[pivots], inserts).any(axis=1)
+    for pivot_id, dominated in zip(pivots.tolist(), pivots_dominated.tolist()):
         pivot_row = old_values[pivot_id]
-        if k == 0:
-            continue
         subs = dominating_subspaces(inserts, pivot_row, counter)
-        weakly_below = np.all(inserts <= pivot_row, axis=1)
-        if bool((weakly_below & (subs != 0)).any()):
+        if dominated:
             return None  # an insert dominates this pivot
         equal = np.all(inserts == pivot_row, axis=1)
         duplicate_inserts |= equal

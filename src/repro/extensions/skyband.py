@@ -13,10 +13,11 @@ point ``p`` can only dominate ``q`` when ``mask(p) ⊇ mask(q)``
 therefore runs a monotone sorted scan that counts dominators only among
 mask-superset skyband members, skipping all provably incomparable pairs.
 
-Key invariant of the sorted scan (sum order, strictly monotone): every
-dominator of a point precedes it, skyband members are never invalidated
-later, and a discarded point's dominators are themselves skyband members —
-so counting dominators within the current skyband is exact.
+Key invariant of the sorted scan (:func:`~repro.dominance.sum_order`,
+which breaks equal float sums by column): every dominator of a point
+precedes it, skyband members are never invalidated later, and a
+discarded point's dominators are themselves skyband members — so
+counting dominators within the current skyband is exact.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.dataset import Dataset, as_dataset
-from repro.dominance import dominance_mask, dominating_subspaces
+from repro.dominance import dominance_matrix, dominating_subspaces, sum_order
 from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
@@ -49,7 +50,7 @@ def _count_dominators_capped(
     n = block.shape[0]
     if n == 0:
         return 0
-    mask = dominance_mask(block, q)
+    mask = dominance_matrix(q[None, :], block)[0]
     total = int(mask.sum())
     if total < cap:
         counter.add(n)
@@ -100,7 +101,6 @@ def skyband(
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     counter = counter if counter is not None else DominanceCounter()
     values = dataset.values
-    n, d = values.shape
 
     # Anchor masks: valid incomparability filters for any reference point.
     if engine is not None:
@@ -113,7 +113,7 @@ def skyband(
     else:
         masks = anchor_masks(dataset, counter)
 
-    order = np.lexsort((np.arange(n), values.sum(axis=1)))
+    order = sum_order(values)
     band: dict[int, int] = {}
     member_ids: list[int] = []
     member_masks = np.empty(0, dtype=np.int64)

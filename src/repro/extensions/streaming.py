@@ -18,11 +18,9 @@ Storage is columnar: one amortised-doubling ``(capacity, d)`` row matrix
 where the stream id *is* the row index, plus parallel liveness /
 skyline-membership / mask arrays.  Stream ids are never reused, so the
 matrix only ever grows; deleted rows cost their slot but nothing else.
-Sweeps operate on the columnar prefix directly — demotion after an insert
-is one vectorised comparison against the gathered skyline block, and the
-promotion filter after a delete is one vectorised comparison against the
-gathered buffer block — with the same dominance-test accounting the
-per-point loops would charge.
+Sweeps operate on the columnar prefix directly: demotion after an insert
+and the elimination sweeps are :func:`~repro.dominance.dominance_matrix`
+calls on gathered blocks, charged as the per-point loops would be.
 
 Sliding windows: constructing with ``window=k`` evicts the oldest live
 point (full delete semantics, promotions included) whenever an insert
@@ -41,9 +39,9 @@ charged for points whose proof of domination still stands.
 
 Costs: ``insert`` is a subset query plus one vectorised demotion sweep over
 the skyline; ``delete``/``delete_many`` re-probe only the witness-orphaned
-buffered points, in ascending coordinate-sum order (promotions first, so a
-promoted point immediately shields the points it dominates), charging one
-dominance test per inspected pair.
+buffered points, in :func:`~repro.dominance.sum_order` (dominators first,
+so a promoted point immediately shields the points it dominates),
+charging one dominance test per inspected pair.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.container import SubsetContainer
-from repro.dominance import first_dominator
+from repro.dominance import dominance_matrix, first_dominator, sum_order
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.stats.counters import DominanceCounter
 
@@ -193,14 +191,7 @@ class StreamingSkyline:
         stream._live_count = n
         stream._n_anchors = min(anchors, n)
         stream._anchor_block[: stream._n_anchors] = values[: stream._n_anchors]
-        anchor_block = stream._anchor_block[: stream._n_anchors]
-
-        # Vectorised _mask_of over all rows: one dominating-subspace
-        # evaluation per (row, anchor) pair, charged as the sequential
-        # loader's final mask computation would be.
-        stream._counter.add(n * anchor_block.shape[0])
-        beats_some_anchor = (values[:, None, :] < anchor_block[None, :, :]).any(axis=1)
-        stream._mask_arr[:n] = beats_some_anchor @ stream._powers
+        stream._mask_arr[:n] = stream._masks_of(values)
 
         if skyline_ids is None:
             from repro.engine import SkylineEngine
@@ -294,7 +285,9 @@ class StreamingSkyline:
         dominator was itself dominated by an earlier insert, which by
         transitivity still dominates the eliminated point.
         """
-        block = np.asarray(rows, dtype=np.float64)
+        # C order: _eliminate compares these rows' sums with the skyline's,
+        # and numpy sums a row differently in Fortran order.
+        block = np.ascontiguousarray(rows, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self._d:
             raise DimensionMismatchError(
                 f"expected a (k, {self._d}) block, got shape {block.shape}"
@@ -311,10 +304,7 @@ class StreamingSkyline:
             # arrivals, so the pre-batch skyline is not a stable filter.
             return [self._insert_row(block[i]) for i in range(k)]
 
-        anchors = self._anchor_block[: self._n_anchors]
-        self._counter.add(k * anchors.shape[0])
-        masks = (block[:, None, :] < anchors[None, :, :]).any(axis=1) @ self._powers
-
+        masks = self._masks_of(block)
         sky_rows, sky_ids_sorted = self._sky_by_sum()
         dominated, witness = self._eliminate(block, sky_rows, sky_ids_sorted)
 
@@ -409,7 +399,7 @@ class StreamingSkyline:
             self._recompute_masks()
             mask = None  # computed against the pre-growth anchor set
         if mask is None:
-            mask = self._mask_of(row)
+            mask = int(self._masks_of(row[None, :])[0])
         self._mask_arr[point_id] = mask
         self._settle_new_point(point_id, row, mask)
         self._evict_overflow()
@@ -427,16 +417,12 @@ class StreamingSkyline:
             return
         # New skyline point: demote every skyline point it now dominates.
         sky_ids = np.flatnonzero(self._in_sky[:point_id])
-        if sky_ids.size:
-            sky_block = self._rows[sky_ids]
-            self._counter.add(int(sky_ids.size))
-            dominated = np.all(row <= sky_block, axis=1) & ~np.all(
-                row == sky_block, axis=1
-            )
-            for demoted in sky_ids[dominated].tolist():
-                self._in_sky[demoted] = False
-                self._store.remove(demoted, int(self._mask_arr[demoted]))
-                self._witness[demoted] = point_id
+        self._counter.add(int(sky_ids.size))
+        dominated = dominance_matrix(self._rows[sky_ids], row[None, :])[:, 0]
+        for demoted in sky_ids[dominated].tolist():
+            self._in_sky[demoted] = False
+            self._store.remove(demoted, int(self._mask_arr[demoted]))
+            self._witness[demoted] = point_id
         self._witness[point_id] = -1
         self._in_sky[point_id] = True
         self._store.add(point_id, mask)
@@ -462,21 +448,12 @@ class StreamingSkyline:
         sky_ids_cur = np.flatnonzero(self._in_sky[:base])
         srows = block[survivors]
         m = int(survivors.size)
-        if sky_ids_cur.size:
-            sky_block = self._rows[sky_ids_cur]
-            self._counter.add(m * int(sky_ids_cur.size))
-            demote = np.all(
-                srows[:, None, :] <= sky_block[None, :, :], axis=2
-            ) & ~np.all(srows[:, None, :] == sky_block[None, :, :], axis=2)
-        else:
-            demote = np.zeros((m, 0), dtype=bool)
-        if m > 1:
-            self._counter.add(m * (m - 1))
-            dom_ss = np.all(
-                srows[:, None, :] <= srows[None, :, :], axis=2
-            ) & ~np.all(srows[:, None, :] == srows[None, :, :], axis=2)
-        else:
-            dom_ss = np.zeros((m, m), dtype=bool)
+        # demote[j, q]: survivor j dominates pre-batch skyline point q;
+        # dom_ss[p, j]: survivor p dominates survivor j.
+        self._counter.add(m * int(sky_ids_cur.size))
+        demote = dominance_matrix(self._rows[sky_ids_cur], srows).T
+        self._counter.add(m * (m - 1))
+        dom_ss = dominance_matrix(srows, srows).T
         sky_list = sky_ids_cur.tolist()
         promoted: list[int] = []  # positions into `survivors`, in order
         for j in range(m):
@@ -503,19 +480,19 @@ class StreamingSkyline:
             promoted.append(j)
 
     def _promote_exposed(self, exposed: np.ndarray, block: np.ndarray) -> None:
-        """Promote exposed buffered points in ascending coordinate-sum order.
+        """Promote exposed buffered points, dominators first.
 
         Two phases.  The elimination phase (:meth:`_eliminate`) discards
         candidates the *current* skyline still dominates, vectorised.  The
-        few survivors then re-probe the live store per
-        candidate in ascending-sum order — a promoted point is indexed
+        few survivors then re-probe the live store one by one in
+        :func:`~repro.dominance.sum_order` — a promoted point is indexed
         before anything it dominates is probed, so survivors dominated
         only by *other exposed candidates* resolve exactly as the
         one-by-one delete path would.
         """
         if exposed.size == 0:
             return
-        order = np.argsort(block.sum(axis=1), kind="stable")
+        order = sum_order(block)
         exposed = exposed[order]
         block = block[order]
         sky_rows, sky_ids_sorted = self._sky_by_sum()
@@ -533,10 +510,10 @@ class StreamingSkyline:
                 self._store.add(buf_id, mask)
 
     def _sky_by_sum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Skyline rows and their ids, sorted by ascending coordinate sum."""
+        """Skyline rows and their ids in :func:`~repro.dominance.sum_order`."""
         ids = np.flatnonzero(self._in_sky[: self._next_id])
         rows = self._rows[ids]
-        order = np.argsort(rows.sum(axis=1), kind="stable")
+        order = sum_order(rows)
         return rows[order], ids[order]
 
     def _eliminate(
@@ -544,16 +521,15 @@ class StreamingSkyline:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Flag which of ``rows`` some skyline point dominates, vectorised.
 
-        The dominator block — in ascending coordinate-sum order, strongest
-        points first — is scanned in ``_PROMOTION_CHUNK``-row rounds
-        against every still-undecided candidate at once, dropping
-        dominated candidates between rounds.  Candidates are ordered by
-        coordinate sum too: once the scan reaches dominators whose sums
-        meet a candidate's own, that candidate can never be dominated and
-        is finalised without further charge, so the charged tests (one
-        per inspected pair) stay near what a short-circuiting sort-first
-        scalar scan would charge while every comparison is one numpy
-        kernel.
+        The dominator block — in :func:`~repro.dominance.sum_order`,
+        strongest points first — is scanned in ``_PROMOTION_CHUNK``-row
+        rounds against every still-undecided candidate at once, dropping
+        dominated candidates between rounds.  Candidates are sum-ordered
+        too: a dominator's sum is never above its victim's, so once the
+        scan reaches dominators whose sums exceed a candidate's own, that
+        candidate can never be dominated and is finalised without further
+        charge.  The charged tests (one per inspected pair) stay near what
+        a short-circuiting sort-first scalar scan would charge.
 
         Returns ``(dominated, witness)``: the flag per row plus the id
         (from ``sky_ids``, aligned with ``sky_rows``) of one dominator per
@@ -563,33 +539,24 @@ class StreamingSkyline:
         witness = np.full(rows.shape[0], -1, dtype=np.intp)
         if sky_rows.shape[0] == 0 or rows.shape[0] == 0:
             return dominated, witness
-        order = np.argsort(rows.sum(axis=1), kind="stable")
+        order = sum_order(rows)
         sorted_rows = rows[order]
         sky_sums = sky_rows.sum(axis=1)
         undecided = np.arange(rows.shape[0])
         undecided_sums = sorted_rows.sum(axis=1)
         for start in range(0, sky_rows.shape[0], _PROMOTION_CHUNK):
-            # A dominator's sum is strictly below its victim's; candidates
-            # whose sums fall at or below every remaining dominator's are
+            # A dominator's sum is at most its victim's; candidates whose
+            # sums fall strictly below every remaining dominator's are
             # survivors — finalise them for free.
-            cut = int(
-                np.searchsorted(undecided_sums, sky_sums[start], side="right")
-            )
+            cut = int(np.searchsorted(undecided_sums, sky_sums[start]))
             if cut:
                 undecided = undecided[cut:]
                 undecided_sums = undecided_sums[cut:]
             if undecided.size == 0:
                 break
-            stop = min(start + _PROMOTION_CHUNK, sky_rows.shape[0])
-            chunk = sky_rows[start:stop]
-            sub = sorted_rows[undecided]
+            chunk = sky_rows[start : start + _PROMOTION_CHUNK]
             self._counter.add(int(undecided.size) * chunk.shape[0])
-            # all(<=) plus a strictly smaller coordinate sum is exactly
-            # dominance: given all(<=), some coordinate is strict iff the
-            # sums differ — one comparison pass instead of two.
-            hits = np.all(chunk[None, :, :] <= sub[:, None, :], axis=2) & (
-                sky_sums[None, start:stop] < undecided_sums[:, None]
-            )
+            hits = dominance_matrix(sorted_rows[undecided], chunk)
             hit = hits.any(axis=1)
             if hit.any():
                 rows_hit = undecided[hit]
@@ -671,20 +638,17 @@ class StreamingSkyline:
         """Refresh every live mask and rebuild the index for new anchors."""
         self._store.clear()
         live = np.flatnonzero(self._live[: self._next_id])
-        anchor_block = self._anchor_block[: self._n_anchors]
-        if live.size:
-            self._counter.add(int(live.size) * anchor_block.shape[0])
-            beats = (self._rows[live][:, None, :] < anchor_block[None, :, :]).any(
-                axis=1
-            )
-            self._mask_arr[live] = beats @ self._powers
+        self._mask_arr[live] = self._masks_of(self._rows[live])
         sky = live[self._in_sky[live]]
         masks_list = self._mask_arr[sky].tolist()
         for point_id, mask in zip(sky.tolist(), masks_list):
             self._store.add(point_id, mask)
 
-    def _mask_of(self, row: np.ndarray) -> int:
+    def _masks_of(self, rows: np.ndarray) -> np.ndarray:
+        """Anchor masks of ``rows``: bit ``i`` set where a row beats an anchor.
+
+        One dominating-subspace test is charged per (row, anchor) pair.
+        """
         anchors = self._anchor_block[: self._n_anchors]
-        self._counter.add(anchors.shape[0])
-        strict = row[None, :] < anchors
-        return int(strict.any(axis=0) @ self._powers)
+        self._counter.add(rows.shape[0] * anchors.shape[0])
+        return (rows[:, None, :] < anchors[None, :, :]).any(axis=1) @ self._powers

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.dataset import Dataset, as_dataset
+from repro.dominance import dominance_matrix
 from repro.errors import InvalidParameterError
 from repro.extensions.skyband import skyband
 from repro.stats.counters import DominanceCounter
@@ -41,11 +42,9 @@ def dominance_score(
         raise InvalidParameterError(
             f"point id {point_id} outside [0, {dataset.cardinality})"
         )
-    p = values[point_id]
     if counter is not None:
         counter.add(dataset.cardinality - 1)
-    dominated = np.all(p <= values, axis=1) & np.any(p < values, axis=1)
-    return int(dominated.sum())
+    return int(dominance_matrix(values, values[point_id : point_id + 1]).sum())
 
 
 def top_k_dominating(

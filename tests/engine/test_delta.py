@@ -176,6 +176,21 @@ class TestEnginePath:
         mutated = _mutated_values(ui_small.values, inserts, deletes)
         assert sorted(result.indices.tolist()) == brute_skyline_ids(mutated)
 
+    def test_incremental_repair_with_an_equal_float_sum_dominator(self):
+        values = np.random.default_rng(0).random((200, 2)) + 1.0
+        values[50] = [1.0, 0.0]  # dominates every other row
+        # Both inserts are dominated by row 50, the first with an equal
+        # float sum (1.0 + 1e-17 == 1.0); two rows take the batched path.
+        inserts = np.array([[1.0, 1e-17], [5.0, 5.0]])
+        dataset = Dataset(values)
+        engine = SkylineEngine()
+        engine.execute(dataset)
+        engine.apply_delta(dataset, inserts=inserts)
+        result = engine.execute(dataset)
+        assert result.plan.incremental
+        assert sorted(result.indices.tolist()) == [50]
+        assert brute_skyline_ids(np.vstack([values, inserts])) == [50]
+
     def test_repair_span_is_traced(self, ui_small, seeded_delta):
         from repro.obs import Tracer
 

@@ -42,6 +42,11 @@ class TestSkyband:
         values = rng.random((150, 3))
         assert skyband(values, k=k) == brute_skyband(values, k)
 
+    def test_equal_float_sum_dominator_is_counted(self):
+        # [1.0, 0.0] dominates [1.0, 1e-17], yet 1.0 + 1e-17 == 1.0.
+        values = np.array([[1.0, 1e-17], [1.0, 0.0]])
+        assert skyband(values, k=1) == brute_skyband(values, 1) == {1: 0}
+
     def test_duplicates(self, duplicate_heavy):
         got = skyband(duplicate_heavy.values, k=2)
         assert got == brute_skyband(duplicate_heavy.values, 2)

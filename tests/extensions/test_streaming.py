@@ -9,6 +9,9 @@ from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.extensions.streaming import StreamingSkyline
 from tests.conftest import brute_skyline_ids
 
+#: Eight mutually incomparable rows that fill the default anchor set.
+ANCHORS = [[2.0 + i / 10, 3.0 - i / 10] for i in range(8)]
+
 
 class TestBasics:
     def test_construction_validation(self):
@@ -159,6 +162,21 @@ class TestBatchedMutations:
         expected = [35 + k for k in brute_skyline_ids(window_pts)]
         assert sky.skyline_ids() == expected
 
+    def test_insert_many_with_an_equal_float_sum_dominator(self):
+        # [1.0, 0.0] dominates [1.0, 1e-17], yet 1.0 + 1e-17 == 1.0.
+        sky = StreamingSkyline(d=2)
+        for row in ANCHORS + [[1.0, 0.0]]:
+            sky.insert(row)
+        sky.insert_many([[1.0, 1e-17], [5.0, 5.0]])
+        assert sky.skyline_ids() == [8]
+
+    def test_delete_promotes_an_equal_float_sum_dominator_first(self):
+        sky = StreamingSkyline(d=2)
+        for row in ANCHORS + [[0.0, 0.0], [1.0, 1e-17], [1.0, 0.0]]:
+            sky.insert(row)
+        sky.delete(8)
+        assert sky.skyline_ids() == [10]
+
     def test_delete_many_rejects_dead_ids_atomically(self):
         sky = StreamingSkyline(d=2)
         a = sky.insert([1.0, 2.0])
@@ -216,13 +234,11 @@ def test_random_interleavings_match_batch(ops):
         assert sky.skyline_ids() == []
 
 
-@pytest.mark.parametrize("window", [None, 12])
-@settings(max_examples=15, deadline=None)
-@given(
-    ops=st.lists(
+def _mutation_ops(coordinate):
+    return st.lists(
         st.tuples(
             st.lists(  # a batch of points, duplicates/ties likely
-                st.lists(st.integers(0, 4), min_size=2, max_size=2),
+                st.lists(coordinate, min_size=2, max_size=2),
                 min_size=1,
                 max_size=5,
             ),
@@ -232,6 +248,14 @@ def test_random_interleavings_match_batch(ops):
         min_size=1,
         max_size=20,
     )
+
+
+@pytest.mark.parametrize("window", [None, 12])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    ops=_mutation_ops(st.integers(0, 4))
+    # Float-sum ties: a dominator whose coordinate sum equals its victim's.
+    | _mutation_ops(st.sampled_from((0.0, 1e-17, 1.0, 2.0)))
 )
 def test_mutation_bridge_matches_oracle(window, ops):
     """Randomized mutation sequences track the brute-force oracle exactly.

@@ -6,13 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro import dominance
 from repro.dominance import (
-    dominance_mask,
+    dominance_matrix,
     dominates,
     dominating_subspace,
     dominating_subspaces,
     first_dominator,
     incomparable,
+    sum_order,
     weakly_dominates,
 )
 from repro.stats.counters import DominanceCounter
@@ -128,9 +130,49 @@ class TestDominanceMask:
         rng = np.random.default_rng(2)
         block = rng.random((30, 3))
         q = rng.random(3)
-        mask = dominance_mask(block, q)
+        mask = dominance_matrix(q[None, :], block)[0]
         for row, flag in zip(block, mask):
             assert flag == dominates(row, q)
+
+    def test_row_blocks_do_not_change_the_matrix(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 3, (50, 3)).astype(float)
+        dominators = rng.integers(0, 3, (7, 3)).astype(float)
+        whole = dominance_matrix(rows, dominators)
+        monkeypatch.setattr(dominance, "_MATRIX_BLOCK", 1)
+        assert np.array_equal(dominance_matrix(rows, dominators), whole)
+
+
+#: Tie-heavy coordinates: ``1e-17`` beside ``1.0`` vanishes in a float sum,
+#: and four levels in at most three columns make duplicate rows common.
+_TIE_LEVELS = st.sampled_from((0.0, 1e-17, 1.0, 2.0))
+
+
+def _tie_block(d):
+    rows = st.lists(st.lists(_TIE_LEVELS, min_size=d, max_size=d), max_size=8)
+    return rows.map(lambda r: np.array(r, dtype=np.float64).reshape(len(r), d))
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(_tie_block(d), _tie_block(d))))
+def test_dominance_matrix_matches_scalar_dominates(blocks):
+    rows, dominators = blocks
+    matrix = dominance_matrix(rows, dominators)
+    assert matrix.shape == (len(rows), len(dominators))
+    for i, row in enumerate(rows):
+        for j, dominator in enumerate(dominators):
+            assert matrix[i, j] == dominates(dominator, row)
+    assert not dominance_matrix(rows, rows).diagonal().any()
+
+
+@given(st.integers(1, 3).flatmap(_tie_block))
+def test_sum_order_puts_every_dominator_first(rows):
+    ranked = rows[sum_order(rows)]
+    for i in range(len(ranked)):
+        for j in range(i + 1, len(ranked)):
+            assert not dominates(ranked[j], ranked[i])
+    sums = rows.sum(axis=1)
+    if np.unique(sums).size == sums.size:  # tie-free: the plain stable sort
+        assert sum_order(rows).tolist() == np.argsort(sums, kind="stable").tolist()
 
 
 @given(

@@ -31,6 +31,20 @@ class TestFastSkyline:
         got = fast_skyline(ui_small, chunk_size=chunk_size)
         assert list(got) == brute_skyline_ids(ui_small.values)
 
+    @pytest.mark.parametrize(
+        "rows, chunk_size",
+        [
+            ([[0.0, 0.1 + 1e-4 * k] for k in range(255)] + [[1.0, 1e-17], [1.0, 0.0]], 256),
+            ([[1.0, 1e-17], [1.0, 0.0]], 1),
+        ],
+        ids=["chunk-boundary", "pair"],
+    )
+    def test_equal_float_sum_dominator_is_scanned_first(self, rows, chunk_size):
+        # [1.0, 0.0] dominates [1.0, 1e-17], yet 1.0 + 1e-17 == 1.0.
+        values = np.array(rows)
+        got = fast_skyline(values, chunk_size=chunk_size)
+        assert list(got) == brute_skyline_ids(values)
+
     def test_single_point(self):
         assert list(fast_skyline(np.ones((1, 3)))) == [0]
 
