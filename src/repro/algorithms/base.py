@@ -94,8 +94,8 @@ def run_timed(
     run_counter = counter if counter is not None else DominanceCounter()
     ids, elapsed = timed(lambda: body(dataset, run_counter))
     counter = run_counter
-    indices = np.asarray(sorted(set(int(i) for i in ids)), dtype=np.intp)
-    if len(indices) != len(ids):
+    indices = np.unique(np.asarray(ids, dtype=np.intp))
+    if indices.size != len(ids):
         raise AssertionError(f"{name} returned duplicate skyline ids")
     return SkylineResult(
         indices=indices,

@@ -39,7 +39,24 @@ def load_csv(path: str | Path, name: str | None = None, kind: str = "custom") ->
                 ) from None
     if not rows:
         raise InvalidDatasetError(f"{path}: no data rows")
-    return Dataset(np.asarray(rows, dtype=np.float64), name=name or path.stem, kind=kind)
+    try:
+        values = np.asarray(rows, dtype=np.float64)
+    except ValueError:
+        raise _ragged_row_error(path, len(rows), len(rows[0])) from None
+    return Dataset(values, name=name or path.stem, kind=kind)
+
+
+def _ragged_row_error(path: Path, data_rows: int, width: int) -> InvalidDatasetError:
+    """Name the first data row of ``path`` whose cell count is not ``width``.
+
+    Re-reads the file, so only a load that already failed pays for it.
+    Every non-empty line is a data row except a skipped header on line 1.
+    """
+    with path.open(newline="") as handle:
+        lines = [(n, row) for n, row in enumerate(csv.reader(handle), start=1) if row]
+    header = len(lines) - data_rows
+    lineno, row = next((n, row) for n, row in lines[header:] if len(row) != width)
+    return InvalidDatasetError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
 
 
 def save_npy(dataset: Dataset, path: str | Path) -> None:

@@ -8,6 +8,9 @@ mutation a *repairable* event instead of a cache-destroying one:
   a delete id set against the current dataset shape;
 - :func:`remap_ids` — translate pre-delta row ids into post-delta ids
   (deleted rows close ranks; appended inserts take the tail ids);
+- :func:`repair_extrema` — carry the exact per-column minima and maxima
+  across a delta in O(batch·d), re-reducing a column only when a deleted
+  row held its extreme;
 - :func:`repair_merge_result` — suffix-repair a cached
   :class:`~repro.core.merge.MergeResult`: the pivot set is kept fixed, so
   Lemma 4.3/5.1 mask semantics survive, deleted points drop out of the
@@ -46,6 +49,7 @@ __all__ = [
     "absorb_since",
     "normalize_delta",
     "remap_ids",
+    "repair_extrema",
     "repair_merge_result",
 ]
 
@@ -68,8 +72,9 @@ class DeltaReport:
     merge_repaired, merge_dropped:
         Cached Merge results suffix-repaired vs dropped as unrepairable.
     views_repaired, views_dropped:
-        Cached subspace views delta-repaired recursively vs dropped
-        (direction-flipped views depend on column maxima and are dropped).
+        Cached subspace views delta-repaired recursively vs dropped (a
+        direction-flipped view is dropped when the delta moves a flipped
+        column's maximum, which its projection is relative to).
     sort_tagged, sort_dropped:
         Sort caches tagged for lazy suffix repair at the next scan vs
         dropped (entries without key arrays, or a min-corner change).
@@ -162,6 +167,34 @@ def remap_ids(ids: np.ndarray, deletes: np.ndarray) -> np.ndarray:
     if deletes.size == 0:
         return ids
     return ids - np.searchsorted(deletes, ids)
+
+
+def repair_extrema(
+    extrema: tuple[np.ndarray, np.ndarray],
+    removed: np.ndarray,
+    inserts: np.ndarray,
+    new_values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact column ``(minima, maxima)`` of ``new_values`` after a delta.
+
+    ``extrema`` are the pre-delta minima and maxima, ``removed`` the
+    deleted rows and ``new_values`` the post-delta array (survivors, then
+    ``inserts``).  Inserts fold in with one reduction each; a column is
+    re-reduced over ``new_values`` only when a deleted row held its
+    extreme, so a delta costs O(batch·d) unless it deletes an extreme.
+    The input arrays are never modified.
+    """
+    repaired = []
+    for old, reduce, fold in (
+        (extrema[0], np.min, np.minimum),
+        (extrema[1], np.max, np.maximum),
+    ):
+        new = fold(old, reduce(inserts, axis=0)) if inserts.shape[0] else old.copy()
+        if removed.shape[0]:
+            for column in np.flatnonzero((removed == old).any(axis=0)).tolist():
+                new[column] = reduce(new_values[:, column])
+        repaired.append(new)
+    return repaired[0], repaired[1]
 
 
 def repair_merge_result(

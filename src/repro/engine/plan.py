@@ -85,6 +85,9 @@ class Plan:
         Constructor keyword arguments for the host, as sorted pairs.
     signals:
         The ``(name, value)`` estimator signals the decision consumed.
+        Incremental plans carry ``n``, ``d`` and ``expected_skyline``
+        (computable without a pass over the rows); full adaptive plans
+        add ``correlation`` from the prepared statistics.
     reasons:
         Human-readable justification, one clause per decision.
     """

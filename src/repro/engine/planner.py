@@ -9,7 +9,9 @@ setup.  The planner encodes those regime boundaries over the estimator
 signals of :meth:`~repro.engine.prepared.PreparedDataset.statistics` —
 cardinality, dimensionality, the pairwise correlation signal and the
 expected skyline size — and emits an inspectable
-:class:`~repro.engine.plan.Plan`.
+:class:`~repro.engine.plan.Plan`.  A pending delta is weighed first, from
+the shape and the delta log alone: an incremental plan never computes the
+statistics.
 
 Two modes:
 
@@ -287,13 +289,6 @@ class Planner:
         host_options: tuple[tuple[str, object], ...],
         counter: DominanceCounter | None,
     ) -> Plan:
-        stats = prepared.statistics(counter)
-        signals = (
-            ("n", float(stats.cardinality)),
-            ("d", float(stats.dimensionality)),
-            ("correlation", stats.correlation),
-            ("expected_skyline", stats.expected_skyline),
-        )
         # The cost-model inputs this decision is weighed against, recorded
         # on the plan so EXPLAIN ANALYZE can line estimates up with
         # post-execution actuals.  Pinned plans never consult these.
@@ -306,13 +301,20 @@ class Planner:
         )
         reasons: list[str] = []
 
-        delta = self._consider_incremental(
-            prepared, stats, incremental, signals, estimates, reasons
-        )
+        # Repair-vs-recompute needs only the shape and the delta log, so
+        # an incremental plan never pays for the statistics pass below.
+        delta = self._consider_incremental(prepared, incremental, estimates, reasons)
         if isinstance(delta, Plan):
             return delta
         pending, fraction, repair_cost, recompute_cost = delta
 
+        stats = prepared.statistics(counter)
+        signals = (
+            ("n", float(stats.cardinality)),
+            ("d", float(stats.dimensionality)),
+            ("correlation", stats.correlation),
+            ("expected_skyline", stats.expected_skyline),
+        )
         host, boosted = self._select_host(stats, reasons)
         resolved_sigma: int | None = None
         if boosted:
@@ -347,9 +349,7 @@ class Planner:
     def _consider_incremental(
         self,
         prepared: PreparedDataset,
-        stats: DatasetStatistics,
         incremental: bool | None,
-        signals: tuple[tuple[str, float], ...],
         estimates: tuple[tuple[str, float], ...],
         reasons: list[str],
     ) -> "Plan | tuple[int, float, float, float]":
@@ -358,7 +358,10 @@ class Planner:
         Returns the incremental :class:`Plan` when repair wins (or is
         forced), else the ``(pending, fraction, repair_cost,
         recompute_cost)`` tuple the full plan carries so ``explain`` can
-        show why repair lost.  A clean dataset yields all zeros.
+        show why repair lost.  A clean dataset yields all zeros.  Reads
+        only the shape and :meth:`PreparedDataset.delta_state`: the
+        incremental plan records the signals computable without a pass
+        over the rows (``n``, ``d``, ``expected_skyline``).
         """
         state = prepared.delta_state()
         if state is None:
@@ -369,8 +372,8 @@ class Planner:
                     "query, then apply_delta, then replan"
                 )
             return (0, 0.0, 0.0, 0.0)
-        n = stats.cardinality
-        d = stats.dimensionality
+        n = prepared.cardinality
+        d = prepared.dimensionality
         # Replay charges ~_REPAIR_OP_COST tests per logged op; a cold
         # stream additionally pays the O(n * anchors) bootstrap mask pass.
         # Recompute must re-scan everything: n * d is the scale of the
@@ -415,7 +418,11 @@ class Planner:
             repair_cost=repair_cost,
             recompute_cost=recompute_cost,
             estimates=estimates,
-            signals=signals,
+            signals=(
+                ("n", float(n)),
+                ("d", float(d)),
+                ("expected_skyline", prepared.expected_skyline()),
+            ),
             reasons=tuple(reasons),
         )
 

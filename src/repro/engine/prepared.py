@@ -20,9 +20,13 @@ Mutation is a first-class event: :meth:`PreparedDataset.apply_delta`
 applies an insert/delete batch and — when the delta is small enough —
 *suffix-repairs* the cached artefacts instead of dropping them: Merge
 results keep their pivots and classify the inserts (see
-:mod:`repro.engine.delta`), unflipped subspace views repair recursively,
-and key-decomposable sort orders are tagged for a lazy bit-identical
-repair at the next scan.  Every delta bumps :attr:`version` exactly once.
+:mod:`repro.engine.delta`), subspace views repair recursively (a view
+that maximizes a column is dropped only when the delta moves that
+column's maximum), and key-decomposable sort orders are tagged for a lazy
+bit-identical repair at the next scan.  The exact per-column minima and
+maxima behind those two decisions are carried across each delta in
+O(batch·d) (:meth:`PreparedDataset.extrema`), so a small delta never
+reduces the whole array.  Every delta bumps :attr:`version` exactly once.
 The skyline itself repairs lazily: after a full query the engine *notes*
 the result (:meth:`note_skyline`); when the planner later chooses an
 incremental plan, :meth:`repair_skyline` replays the logged delta batches
@@ -45,6 +49,7 @@ from repro.engine.delta import (
     DeltaState,
     absorb_since,
     normalize_delta,
+    repair_extrema,
     repair_merge_result,
 )
 from repro.errors import InvalidParameterError
@@ -58,7 +63,7 @@ from repro.stats.estimate import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from collections.abc import Mapping, Sequence
 
     from repro.extensions.streaming import StreamingSkyline
 
@@ -123,6 +128,25 @@ class DatasetStatistics:
         return self.expected_skyline / self.cardinality
 
 
+def _project(
+    rows: np.ndarray, dims: tuple[int, ...], maxima: "Mapping[int, float]"
+) -> np.ndarray:
+    """``rows`` projected onto ``dims``, each column in ``maxima`` as ``max - value``."""
+    projected = rows[:, dims]
+    for local_dim, original_dim in enumerate(dims):
+        if original_dim in maxima:
+            projected[:, local_dim] = maxima[original_dim] - projected[:, local_dim]
+    return projected
+
+
+def _read_only(
+    minima: np.ndarray, maxima: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    minima.setflags(write=False)
+    maxima.setflags(write=False)
+    return minima, maxima
+
+
 class _FifoCache(dict[object, object]):
     """A dict with FIFO eviction once ``max_entries`` is exceeded."""
 
@@ -169,6 +193,7 @@ class PreparedDataset:
         self.repair_threshold = repair_threshold
         self._column_major: np.ndarray | None = None
         self._statistics: DatasetStatistics | None = None
+        self._extrema: tuple[np.ndarray, np.ndarray] | None = None
         self._merge_cache = _FifoCache()
         self._sort_caches = _FifoCache()
         self._view_cache = _FifoCache()
@@ -215,6 +240,33 @@ class PreparedDataset:
             self._column_major = column_major
         return self._column_major
 
+    def extrema(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact per-column ``(minima, maxima)`` of the current values.
+
+        Reduced over the rows on first use, then carried across every
+        repaired delta in O(batch·d)
+        (:func:`~repro.engine.delta.repair_extrema`); dropped by
+        :meth:`invalidate`.  The arrays are read-only.
+        """
+        if self._extrema is None:
+            values = self.dataset.values
+            self._extrema = _read_only(values.min(axis=0), values.max(axis=0))
+        return self._extrema
+
+    def expected_skyline(self) -> float:
+        """Expected skyline size under uniform independence, capped at ``n``.
+
+        A function of ``(n, d)`` alone — exact harmonic number up to
+        ``50_000`` rows, closed-form asymptotic above — so it needs no pass
+        over the rows.
+        """
+        n, d = self.cardinality, self.dimensionality
+        if n <= _EXACT_ESTIMATE_LIMIT:
+            expected = expected_skyline_size(n, d)
+        else:
+            expected = expected_skyline_size_asymptotic(n, d)
+        return min(float(n), expected)
+
     # -- cached artefacts ---------------------------------------------------
 
     def statistics(self, counter: DominanceCounter | None = None) -> DatasetStatistics:
@@ -223,16 +275,11 @@ class PreparedDataset:
             self._record(counter, hit=True)
             return self._statistics
         self._record(counter, hit=False)
-        n, d = self.cardinality, self.dimensionality
-        if n <= _EXACT_ESTIMATE_LIMIT:
-            expected = expected_skyline_size(n, d)
-        else:
-            expected = expected_skyline_size_asymptotic(n, d)
         self._statistics = DatasetStatistics(
-            cardinality=n,
-            dimensionality=d,
+            cardinality=self.cardinality,
+            dimensionality=self.dimensionality,
             correlation=correlation_signal(self.column_major),
-            expected_skyline=min(float(n), expected),
+            expected_skyline=self.expected_skyline(),
         )
         return self._statistics
 
@@ -315,14 +362,11 @@ class PreparedDataset:
             self._record(counter, hit=True)
             return cached  # type: ignore[return-value]
         self._record(counter, hit=False)
-        projected = self.dataset.values[:, dims_key].copy()
-        for local_dim, original_dim in enumerate(dims_key):
-            if original_dim in flip_key:
-                column = projected[:, local_dim]
-                projected[:, local_dim] = column.max() - column
+        values = self.dataset.values
+        maxima = {dim: values[:, dim].max() for dim in flip_key}
         view = PreparedDataset(
             Dataset(
-                projected,
+                _project(values, dims_key, maxima),
                 name=f"{self.dataset.name}[view:{dims_key}]",
                 kind=self.dataset.kind,
             ),
@@ -370,13 +414,14 @@ class PreparedDataset:
 
         ``mode=None`` repairs when the delta fraction is at most
         :attr:`repair_threshold` and recomputes otherwise; ``"repair"`` and
-        ``"recompute"`` force the path.  The repair path suffix-repairs
-        cached Merge results and unflipped views, tags key-decomposable
-        sort orders for lazy repair, drops everything else, logs the delta
-        for :meth:`repair_skyline` and bumps :attr:`version` exactly once
-        (the recompute path bumps through :meth:`invalidate`).  Repair
-        dominance tests (insert-vs-pivot classification, view recursion)
-        are charged on ``counter``.
+        ``"recompute"`` force the path.  The repair path carries the column
+        extrema across the delta, suffix-repairs cached Merge results and
+        every view whose flipped columns keep their maxima, tags
+        key-decomposable sort orders for lazy repair, drops everything
+        else, logs the delta for :meth:`repair_skyline` and bumps
+        :attr:`version` exactly once (the recompute path bumps through
+        :meth:`invalidate`).  Repair dominance tests (insert-vs-pivot
+        classification, view recursion) are charged on ``counter``.
         """
         if mode not in (None, "repair", "recompute"):
             raise InvalidParameterError(
@@ -422,15 +467,22 @@ class PreparedDataset:
             deleted=deleted,
             n=new_dataset.cardinality,
         ):
+            old_min, old_max = self.extrema()
+            new_min, new_max = repair_extrema(
+                (old_min, old_max), old.values[dels], ins, new_values
+            )
             merge_repaired, merge_dropped = self._repair_merge_entries(
                 old.values, ins, dels, run_counter
             )
             sort_tagged, sort_dropped = self._tag_sort_caches(
-                old.values, new_values, dels
+                bool(np.array_equal(old_min, new_min)),
+                dels,
+                old.cardinality - deleted,
             )
             views_repaired, views_dropped = self._repair_views(
-                ins, dels, run_counter
+                ins, dels, old_max, old_max != new_max, run_counter
             )
+            self._extrema = _read_only(new_min, new_max)
             self._artefacts.clear()
             self._statistics = None
             self._column_major = None
@@ -573,18 +625,14 @@ class PreparedDataset:
 
     def _tag_sort_caches(
         self,
-        old_values: np.ndarray,
-        new_values: np.ndarray,
+        corner_stable: bool,
         dels: np.ndarray,
+        new_from: int,
     ) -> tuple[int, int]:
         # Sort keys are computed against the dataset's minimum corner; if
         # the delta moves the corner every cached key is stale, so the
         # caches are dropped rather than tagged.
-        corner_stable = bool(
-            np.array_equal(old_values.min(axis=0), new_values.min(axis=0))
-        )
         tagged = dropped = 0
-        new_from = old_values.shape[0] - int(dels.size)
         for key in list(self._sort_caches):
             entry = self._sort_caches[key]
             if (
@@ -608,21 +656,27 @@ class PreparedDataset:
         self,
         ins: np.ndarray,
         dels: np.ndarray,
+        maxima: np.ndarray,
+        moved: np.ndarray,
         counter: DominanceCounter,
     ) -> tuple[int, int]:
         repaired = dropped = 0
         for key in list(self._view_cache):
             dims_key, flip_key = key  # type: ignore[misc]
             view = self._view_cache[key]
-            if flip_key:
-                # Flipped columns were rebased on their pre-delta maxima;
-                # a delta can move those, so the projection is rebuilt.
+            if moved[list(flip_key)].any():
+                # Flipped columns are projected as `max - value`; a delta
+                # that moves one of those maxima shifts every projected
+                # row, so the view is dropped and rebuilt on next use.
                 view.invalidate()  # type: ignore[attr-defined]
                 del self._view_cache[key]
                 dropped += 1
                 continue
+            # Otherwise `maxima` is still the maximum the view was built
+            # on, and the inserts project exactly as a cold view would.
+            flipped = {dim: maxima[dim] for dim in flip_key}
             view.apply_delta(  # type: ignore[attr-defined]
-                inserts=ins[:, dims_key],
+                inserts=_project(ins, dims_key, flipped),
                 deletes=dels,
                 counter=counter,
                 mode="repair",
@@ -670,6 +724,7 @@ class PreparedDataset:
             view.invalidate()  # type: ignore[attr-defined]
         self._column_major = None
         self._statistics = None
+        self._extrema = None
         self._merge_cache.clear()
         self._sort_caches.clear()
         self._view_cache.clear()

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import InvalidParameterError
@@ -57,6 +56,10 @@ class PartialOrder:
         edges: Iterable[tuple[Hashable, Hashable]],
         values: Iterable[Hashable] = (),
     ) -> None:
+        # Imported here, its only use: every `repro.extensions` import
+        # (the engine's replay stream among them) loads this module.
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_edges_from(edges)
         graph.add_nodes_from(values)

@@ -27,7 +27,9 @@ from repro.errors import InvalidParameterError
 def expected_skyline_size(n: int, d: int) -> float:
     """``E[|skyline|] = H_{d-1, n}`` under uniform independence.
 
-    Exact O(d·n) dynamic program over the harmonic recurrence.
+    Exact O(d·n) dynamic program over the harmonic recurrence, one
+    cumulative sum per level: ``np.cumsum`` adds left to right, so every
+    value equals the scalar recurrence's bit for bit.
 
     >>> expected_skyline_size(100, 1)
     1.0
@@ -39,15 +41,11 @@ def expected_skyline_size(n: int, d: int) -> float:
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
     # current[i-1] holds H_{k, i}; start with H_0 = 1 for every prefix.
-    current = [1.0] * n
+    current = np.ones(n, dtype=np.float64)
+    divisors = np.arange(1, n + 1, dtype=np.float64)
     for _ in range(d - 1):
-        running = 0.0
-        previous = current
-        current = []
-        for i in range(1, n + 1):
-            running += previous[i - 1] / i
-            current.append(running)
-    return current[n - 1]
+        current = np.cumsum(current / divisors)
+    return float(current[n - 1])
 
 
 def expected_skyline_size_asymptotic(n: int, d: int) -> float:

@@ -32,6 +32,7 @@ class TestRunTimed:
     def test_result_is_sorted_and_counted(self):
         result = _FakeConstant().compute(np.ones((3, 2)))
         assert list(result.indices) == [0, 2]
+        assert result.indices.dtype == np.intp
         assert result.dominance_tests == 7
         assert result.cardinality == 3
         assert result.algorithm == "fake-const"

@@ -34,6 +34,22 @@ class TestCsv:
         loaded = load_csv(path)
         assert loaded.values.shape == (2, 2)
 
+    @pytest.mark.parametrize(
+        ("text", "where"),
+        [
+            ("a,b\n1,2\n3\n", "r.csv:3: expected 2 cells, got 1"),
+            ("1,2\n\n3,4\n5,6,7\n", "r.csv:4: expected 2 cells, got 3"),
+            ("x,y,z\n1,2\n3,4\n5\n", "r.csv:4: expected 2 cells, got 1"),
+        ],
+        ids=["short-after-header", "long-after-blank", "header-wider-than-rows"],
+    )
+    def test_ragged_rows_rejected_with_their_line(self, tmp_path, text, where):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidDatasetError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{tmp_path / where}"
+
     def test_non_numeric_body_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,2.0\n1.0,oops\n")

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import get_algorithm
 from repro.dataset import Dataset
-from repro.engine import ExecutionContext, SkylineEngine
+from repro.engine import ExecutionContext, Planner, SkylineEngine
 from repro.engine.delta import remap_ids
 from repro.engine.prepared import PreparedDataset
 from repro.errors import InvalidParameterError
+from repro.stats.counters import DominanceCounter
+from repro.stats.estimate import expected_skyline_size
 from tests.conftest import brute_skyline_ids
 
 
@@ -91,6 +94,114 @@ class TestApplyDelta:
         assert sorted(result.indices.tolist()) == expected
 
 
+def _assert_exact_extrema(prepared):
+    minima, maxima = prepared.extrema()
+    assert np.array_equal(minima, prepared.values.min(axis=0))
+    assert np.array_equal(maxima, prepared.values.max(axis=0))
+
+
+class TestColumnExtrema:
+    """The extrema carried across deltas equal a cold reduction."""
+
+    def test_holders_ties_beyond_and_full_turnover(self):
+        rng = np.random.default_rng(21)
+        values = rng.random((30, 3))
+        prepared = PreparedDataset(values)
+        prepared.extrema()  # reduced once here; every delta maintains it
+        holders = {int(values[:, 0].argmin()), int(values[:, 1].argmax())}
+        prepared.apply_delta(None, sorted(holders), mode="repair")
+        _assert_exact_extrema(prepared)
+        # Tie column 2's minimum, then delete its first holder.
+        holder = int(prepared.values[:, 2].argmin())
+        tie = np.array([[0.5, 0.5, prepared.values[holder, 2]]])
+        prepared.apply_delta(tie, None, mode="repair")
+        prepared.apply_delta(None, [holder], mode="repair")
+        _assert_exact_extrema(prepared)
+        assert prepared.extrema()[0][2] == tie[0, 2]
+        prepared.apply_delta([[-1.0, -1.0, -1.0], [2.0, 2.0, 2.0]], None, mode="repair")
+        _assert_exact_extrema(prepared)
+        # Replace every row: the extrema come from the inserts alone.
+        fresh = rng.random((4, 3)) + 5.0
+        prepared.apply_delta(fresh, np.arange(prepared.cardinality), mode="repair")
+        _assert_exact_extrema(prepared)
+        assert np.array_equal(prepared.extrema()[0], fresh.min(axis=0))
+
+    def test_random_deltas_on_tie_heavy_data(self):
+        rng = np.random.default_rng(22)
+        prepared = PreparedDataset(rng.integers(0, 4, size=(40, 3)).astype(float))
+        prepared.extrema()
+        for _ in range(150):
+            n = prepared.cardinality
+            deletes = rng.choice(n, size=int(rng.integers(0, min(3, n - 1) + 1)), replace=False)
+            inserts = rng.integers(-1, 5, size=(int(rng.integers(0, 4)), 3)).astype(float)
+            prepared.apply_delta(inserts, deletes, mode="repair")
+            _assert_exact_extrema(prepared)
+
+    def test_recompute_and_invalidate_leave_no_stale_extrema(self, ui_small):
+        prepared = PreparedDataset(ui_small)
+        prepared.extrema()
+        beyond = np.full((1, ui_small.dimensionality), 2.0)  # above every UI value
+        prepared.apply_delta(beyond, [0], mode="recompute")
+        _assert_exact_extrema(prepared)
+        prepared.dataset = Dataset(ui_small.values * 3.0)  # rebound externally
+        prepared.invalidate()
+        _assert_exact_extrema(prepared)
+
+
+class TestMaximizeViewRepair:
+    """A view maximizing a column repairs while that column's maximum holds."""
+
+    @staticmethod
+    def _with_views(values):
+        prepared = PreparedDataset(values)
+        prepared.view([0, 2], maximize=[2])
+        prepared.view([0, 1])
+        return prepared
+
+    def test_repaired_view_matches_a_cold_view_and_the_oracle(self):
+        rng = np.random.default_rng(23)
+        values = rng.random((200, 3))
+        values[0, 2] = 2.0  # the maximum of the maximized column; row 0 stays
+        engine = SkylineEngine()
+        prepared = engine.prepare(values)
+        view = prepared.view([0, 2], maximize=[2])
+        engine.execute(view)  # the view's repair base
+        for _ in range(4):
+            deletes = np.sort(rng.choice(np.arange(1, prepared.cardinality), 3, replace=False))
+            report = prepared.apply_delta(rng.random((3, 3)), deletes)
+            assert (report.views_repaired, report.views_dropped) == (1, 0)
+            assert prepared.view([0, 2], maximize=[2]) is view
+            cold = PreparedDataset(prepared.values).view([0, 2], maximize=[2])
+            assert np.array_equal(view.values, cold.values)
+            result = engine.execute(view, incremental=True)
+            oracle = get_algorithm("bruteforce").compute(cold.values).indices
+            assert np.array_equal(result.indices, oracle)
+
+    def test_a_tied_maximum_keeps_the_view(self):
+        values = np.random.default_rng(24).random((100, 3))
+        values[0, 2] = 2.0
+        prepared = self._with_views(values)
+        tie = prepared.apply_delta([[0.5, 0.5, 2.0]], None)
+        holder_gone = prepared.apply_delta(None, [0])  # the tie still holds 2.0
+        for report in (tie, holder_gone):
+            assert (report.views_repaired, report.views_dropped) == (2, 0)
+        cold = PreparedDataset(prepared.values).view([0, 2], maximize=[2])
+        assert np.array_equal(prepared.view([0, 2], maximize=[2]).values, cold.values)
+
+    @pytest.mark.parametrize(
+        ("inserts", "deletes"),
+        [([[0.5, 0.5, 3.0]], None), (None, [0])],
+        ids=["insert-above", "delete-holder"],
+    )
+    def test_moving_a_flipped_maximum_drops_the_view(self, inserts, deletes):
+        values = np.random.default_rng(25).random((100, 3))
+        values[0, 2] = 2.0
+        prepared = self._with_views(values)
+        report = prepared.apply_delta(inserts, deletes)
+        assert (report.views_repaired, report.views_dropped) == (1, 1)
+        assert prepared.cache_info()["views"] == 1
+
+
 class TestRepairSkyline:
     def test_requires_a_noted_base(self, ui_small):
         prepared = PreparedDataset(ui_small)
@@ -139,6 +250,33 @@ class TestPlannerIncremental:
         assert "incremental delta-repair" in text
         assert "12 pending ops" in text
         assert "repair-vs-recompute" in text and "delta repair" in text
+
+    def test_incremental_plan_skips_the_statistics(self, ui_small, seeded_delta):
+        inserts, deletes = seeded_delta
+        engine = SkylineEngine()
+        prepared = self._prepared_with_delta(engine, ui_small, inserts, deletes)
+        counter = DominanceCounter()
+        plan = engine.planner.plan(prepared, None, None, counter=counter)
+        assert plan.incremental
+        assert prepared.cache_info()["statistics"] == 0
+        assert counter.prepared_cache_hits == counter.prepared_cache_misses == 0
+        n, d = prepared.cardinality, prepared.dimensionality
+        assert plan.signals == (
+            ("n", float(n)),
+            ("d", float(d)),
+            ("expected_skyline", min(float(n), expected_skyline_size(n, d))),
+        )
+
+    def test_full_plan_after_a_delta_matches_fresh_statistics(
+        self, ui_small, seeded_delta
+    ):
+        inserts, deletes = seeded_delta
+        engine = SkylineEngine()
+        prepared = self._prepared_with_delta(engine, ui_small, inserts, deletes)
+        plan = engine.planner.plan(prepared, None, None, incremental=False)
+        fresh = PreparedDataset(prepared.values)
+        assert plan.signals == Planner().plan(fresh, None, None).signals
+        assert dict(plan.signals)["correlation"] == fresh.statistics().correlation
 
     def test_incremental_false_forces_full_plan(self, ui_small, seeded_delta):
         inserts, deletes = seeded_delta

@@ -1,5 +1,10 @@
 """Unit and property tests for partially ordered attribute domains."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,3 +155,28 @@ def test_partial_skyline_equals_total_order_on_a_chain(rows):
     numeric = [(float(a), rank[b]) for a, b in rows]
     expected = brute_skyline_ids(np.asarray(numeric).reshape(len(rows), 2)) if rows else []
     assert got == expected
+
+
+def test_importing_the_extensions_package_leaves_networkx_unloaded():
+    # The engine's replay stream imports repro.extensions, whose __init__
+    # imports this module; networkx must wait for a PartialOrder.
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    probe = (
+        "import sys, repro.extensions.streaming; "
+        "print('networkx' in sys.modules); "
+        "repro.extensions.PartialOrder([(0, 1)]); "
+        "print('networkx' in sys.modules)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.split() == ["False", "True"]

@@ -10,7 +10,33 @@ from repro.stats.estimate import (
 )
 
 
+def _harmonic_prefixes(n, d):
+    """``H_{d-1, i}`` for ``i = 1..n`` by the scalar recurrence (the oracle)."""
+    current = [1.0] * n
+    for _ in range(d - 1):
+        running = 0.0
+        previous = current
+        current = []
+        for i in range(1, n + 1):
+            running += previous[i - 1] / i
+            current.append(running)
+    return current
+
+
 class TestHarmonicRecurrence:
+    def test_vectorised_recurrence_is_bit_identical_to_the_loop(self):
+        # H_{k, i} depends only on prefixes up to i, so one oracle run of
+        # length 400 covers every n <= 400.
+        for d in range(1, 10):
+            oracle = _harmonic_prefixes(400, d)
+            for n in range(1, 401):
+                assert expected_skyline_size(n, d) == oracle[n - 1], (n, d)
+        for n, d in ((20_000, 8), (49_999, 12)):
+            assert expected_skyline_size(n, d) == _harmonic_prefixes(n, d)[-1]
+
+    def test_returns_a_python_float(self):
+        assert type(expected_skyline_size(10, 3)) is float
+
     def test_d1_is_one(self):
         assert expected_skyline_size(1000, 1) == 1.0
 

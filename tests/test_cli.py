@@ -52,6 +52,12 @@ class TestRun:
         assert main(["run", "-a", "nope", "-n", "30"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_ragged_csv_reports_the_line(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text("a,b\n1,2\n3\n")
+        assert main(["run", "-i", str(path), "-a", "sfs"]) == 2
+        assert f"{path}:3: expected 2 cells, got 1" in capsys.readouterr().err
+
 
 class TestOthers:
     def test_algorithms_listing(self, capsys):
