@@ -92,9 +92,23 @@ def run_timed(
     """Shared compute wrapper: coerce input, time the body, package a result."""
     dataset = as_dataset(data)
     run_counter = counter if counter is not None else DominanceCounter()
-    ids, elapsed = timed(lambda: body(dataset, run_counter))
-    counter = run_counter
-    indices = np.unique(np.asarray(ids, dtype=np.intp))
+    return timed_result(
+        name, dataset.cardinality, run_counter, lambda: body(dataset, run_counter)
+    )
+
+
+def timed_result(
+    name: str,
+    cardinality: int,
+    counter: DominanceCounter,
+    body: Callable[[], list[int]],
+) -> SkylineResult:
+    """Time ``body``, check its ids are distinct, and package a result."""
+    ids, elapsed = timed(body)
+    indices = np.asarray(ids, dtype=np.intp)
+    if not bool((indices[1:] > indices[:-1]).all()):
+        # Already-ascending ids (the common case) skip the sort.
+        indices = np.unique(indices)
     if indices.size != len(ids):
         raise AssertionError(f"{name} returned duplicate skyline ids")
     return SkylineResult(
@@ -102,7 +116,7 @@ def run_timed(
         algorithm=name,
         dominance_tests=counter.tests,
         elapsed_seconds=elapsed,
-        cardinality=dataset.cardinality,
+        cardinality=cardinality,
         counter=counter,
     )
 

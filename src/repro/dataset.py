@@ -60,6 +60,27 @@ class Dataset:
                 raise InvalidDatasetError(f"duplicate column names in {columns}")
             object.__setattr__(self, "columns", columns)
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray, name: str, kind: str) -> "Dataset":
+        """Wrap rows validated on arrival, without a copy or a second check.
+
+        ``values`` must be a non-empty 2-D float64 array of finite values
+        that nothing writes to any more; it is made read-only here.  The
+        prepared layer builds its positional datasets this way from rows
+        it already checked.
+        """
+        values.setflags(write=False)
+        dataset = object.__new__(cls)
+        for attr, value in (
+            ("values", values),
+            ("name", name),
+            ("kind", kind),
+            ("metadata", {}),
+            ("columns", None),
+        ):
+            object.__setattr__(dataset, attr, value)
+        return dataset
+
     def column_index(self, column: "int | str") -> int:
         """Resolve a 0-based index or a column name to its index."""
         if isinstance(column, (int, np.integer)):

@@ -1,8 +1,9 @@
 """``ExecutionContext`` — session state threaded through engine runs.
 
 One context owns the state that repeated queries amortize: the registry of
-:class:`~repro.engine.prepared.PreparedDataset` objects (keyed by dataset
-identity, FIFO-bounded), the session-wide aggregate
+:class:`~repro.engine.prepared.PreparedDataset` objects (keyed by the
+identity of a dataset's value array, held weakly, FIFO-bounded), the
+session-wide aggregate
 :class:`~repro.stats.counters.DominanceCounter`, and the lazily created
 PR-2 :class:`~repro.extensions.parallel.SkylineWorkerPool` for
 block-parallel plans.  The engine asks the context for a fresh per-run
@@ -12,6 +13,7 @@ index traffic, prepared-cache hit rates — accumulate in one place.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -89,7 +91,12 @@ class ExecutionContext:
         self.deltas_recorded = 0
         self._max_prepared = max_prepared
         self._workers = workers
-        self._prepared: dict[int, PreparedDataset] = {}
+        # id(value array) -> (weak reference to that array, prepared).  The
+        # weak reference proves the key still names the same array: once
+        # an array dies CPython may reuse its id for an unrelated one.
+        self._prepared: dict[
+            int, tuple[weakref.ref[np.ndarray], PreparedDataset]
+        ] = {}
         self._pool: "SkylineWorkerPool | None" = None
         self._owns_pool = False
 
@@ -101,19 +108,21 @@ class ExecutionContext:
         Keyed by the identity of the dataset's value array (datasets are
         immutable), so repeated calls with the same dataset — or with the
         prepared object itself — return the same caches.  The registry
-        holds strong references; evicted entries simply lose their caches.
+        holds the prepared datasets strongly but their key arrays weakly: a
+        key whose array died is dropped, never matched against a new array
+        that reuses its address.  Evicted entries simply lose their caches.
         """
         if isinstance(data, PreparedDataset):
             return data
         dataset = as_dataset(data)
-        key = id(dataset.values)
-        prepared = self._prepared.get(key)
-        if prepared is not None:
-            return prepared
+        self._drop_dead_keys()
+        entry = self._prepared.get(id(dataset.values))
+        if entry is not None and entry[0]() is dataset.values:
+            return entry[1]
         prepared = PreparedDataset(dataset)
         while len(self._prepared) >= self._max_prepared:
             del self._prepared[next(iter(self._prepared))]
-        self._prepared[key] = prepared
+        self._register(dataset.values, prepared)
         return prepared
 
     def rebind(self, prepared: PreparedDataset) -> None:
@@ -126,24 +135,37 @@ class ExecutionContext:
         caller still holding the pre-delta ``Dataset`` handle addresses
         the logical dataset it mutated, not a stale snapshot — executing
         with it must find the repaired caches, not silently re-prepare
-        the old array.
+        the old array.  Aliases hold their arrays weakly, so an alias
+        lasts exactly as long as the caller keeps the old handle.
         """
-        key = id(prepared.dataset.values)
-        if self._prepared.get(key) is prepared:
+        self._drop_dead_keys()
+        values = prepared.dataset.values
+        entry = self._prepared.get(id(values))
+        if entry is not None and entry[0]() is values and entry[1] is prepared:
             return
         while len(self._prepared) >= self._max_prepared:
             evict = next(
-                (k for k, v in self._prepared.items() if v is not prepared),
+                (k for k, (_, v) in self._prepared.items() if v is not prepared),
                 None,
             )
             if evict is None:
                 break
             del self._prepared[evict]
-        self._prepared[key] = prepared
+        self._register(values, prepared)
+
+    def _register(self, values: np.ndarray, prepared: PreparedDataset) -> None:
+        self._prepared.pop(id(values), None)  # a dead key's slot moves to the end
+        self._prepared[id(values)] = (weakref.ref(values), prepared)
+
+    def _drop_dead_keys(self) -> None:
+        dead = [key for key, (ref, _) in self._prepared.items() if ref() is None]
+        for key in dead:
+            del self._prepared[key]
 
     @property
     def prepared_count(self) -> int:
-        """Number of datasets currently held prepared."""
+        """Number of registry keys (datasets and live aliases) held."""
+        self._drop_dead_keys()
         return len(self._prepared)
 
     # -- counters -----------------------------------------------------------

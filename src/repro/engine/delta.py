@@ -6,18 +6,27 @@ mutation a *repairable* event instead of a cache-destroying one:
 
 - :func:`normalize_delta` — validate and canonicalise an insert block and
   a delete id set against the current dataset shape;
-- :func:`remap_ids` — translate pre-delta row ids into post-delta ids
-  (deleted rows close ranks; appended inserts take the tail ids);
+- :func:`stable_ids` and :func:`remap_ids` — the two directions between a
+  prepared dataset's id spaces.  Inside the prepared layer a row keeps one
+  *stable* id for its whole life (rows append, deletes leave tombstones);
+  callers see *positional* ids, where the live rows close ranks.  With
+  ``t`` the sorted tombstones, stable id ``s`` is positional
+  ``s - |{t < s}|``, one binary search per id.  :func:`remap_ids` is the
+  only stable → positional conversion;
 - :func:`repair_extrema` — carry the exact per-column minima and maxima
   across a delta in O(batch·d), re-reducing a column only when a deleted
   row held its extreme;
 - :func:`repair_merge_result` — suffix-repair a cached
-  :class:`~repro.core.merge.MergeResult`: the pivot set is kept fixed, so
-  Lemma 4.3/5.1 mask semantics survive, deleted points drop out of the
-  remaining/duplicate sets and each insert is classified against every
-  pivot (one dominance test per pair, charged normally).  Returns ``None``
-  when the entry cannot be repaired (a pivot was deleted, or an insert
-  dominates a pivot) — the caller drops it and the next query re-merges.
+  :class:`~repro.core.merge.MergeResult` held in stable ids: the pivot set
+  is kept fixed, so Lemma 4.3/5.1 mask semantics survive, and each insert
+  is classified against every pivot (one dominance test per pair, charged
+  normally).  Deleted points stay in the remaining/duplicate sets as
+  tombstoned ids, which the owner filters out when it translates the
+  result to positional ids for a scan.  Returns ``None`` when the entry
+  cannot be repaired (a pivot was deleted, or an insert dominates a
+  pivot) — the caller drops it and the next query re-merges;
+- :func:`live_merge_result` — that translation: tombstoned ids dropped,
+  stable ids made positional.
 
 A repaired ``MergeResult`` computes the **same skyline** as a cold Merge
 over the mutated dataset, but is not bit-identical to one: pivot selection
@@ -33,7 +42,8 @@ pending, whether a noted skyline covers it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,10 +57,12 @@ __all__ = [
     "DeltaReport",
     "DeltaState",
     "absorb_since",
+    "live_merge_result",
     "normalize_delta",
     "remap_ids",
     "repair_extrema",
     "repair_merge_result",
+    "stable_ids",
 ]
 
 
@@ -122,17 +134,17 @@ class DeltaState:
 
 
 def normalize_delta(
-    values: np.ndarray,
+    shape: tuple[int, int],
     inserts: "np.ndarray | list[list[float]] | None",
     deletes: "np.ndarray | list[int] | None",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a delta against ``values``; return ``(ins_block, del_ids)``.
+    """Validate a delta against a dataset of ``shape``; return ``(ins_block, del_ids)``.
 
     ``ins_block`` is a ``(k, d)`` float64 block (possibly ``k == 0``);
     ``del_ids`` is a sorted, duplicate-free ``intp`` array of in-range row
     ids of the *current* dataset.
     """
-    n, d = values.shape
+    n, d = shape
     if inserts is None:
         ins = np.empty((0, d), dtype=np.float64)
     else:
@@ -163,26 +175,45 @@ def normalize_delta(
 
 
 def remap_ids(ids: np.ndarray, deletes: np.ndarray) -> np.ndarray:
-    """Translate pre-delta row ids to post-delta ids (none may be deleted)."""
+    """Translate ids past the sorted ``deletes`` into closed ranks.
+
+    Pre-delta row ids become post-delta ids, and stable ids become
+    positional ids when ``deletes`` are the tombstones.  None of ``ids``
+    may be deleted.
+    """
     if deletes.size == 0:
         return ids
     return ids - np.searchsorted(deletes, ids)
+
+
+def stable_ids(positions: np.ndarray, tombstones: np.ndarray) -> np.ndarray:
+    """The stable ids of live rows at ``positions`` (inverse of :func:`remap_ids`).
+
+    The ``j``-th tombstone has ``tombstones[j] - j`` live ids below it, so
+    a position counts every tombstone whose live-rank is at or below it:
+    one O(t) rank pass, then a binary search per position.
+    """
+    positions = np.asarray(positions, dtype=np.intp)
+    if tombstones.size == 0:
+        return positions
+    ranks = tombstones - np.arange(tombstones.size)
+    return positions + np.searchsorted(ranks, positions, side="right")
 
 
 def repair_extrema(
     extrema: tuple[np.ndarray, np.ndarray],
     removed: np.ndarray,
     inserts: np.ndarray,
-    new_values: np.ndarray,
+    live_column: "Callable[[int], np.ndarray]",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact column ``(minima, maxima)`` of ``new_values`` after a delta.
+    """Exact column ``(minima, maxima)`` of the rows after a delta.
 
     ``extrema`` are the pre-delta minima and maxima, ``removed`` the
-    deleted rows and ``new_values`` the post-delta array (survivors, then
-    ``inserts``).  Inserts fold in with one reduction each; a column is
-    re-reduced over ``new_values`` only when a deleted row held its
-    extreme, so a delta costs O(batch·d) unless it deletes an extreme.
-    The input arrays are never modified.
+    deleted rows and ``live_column(c)`` column ``c`` of the post-delta rows
+    (survivors and ``inserts``).  Inserts fold in with one reduction each;
+    a column is re-reduced over ``live_column`` only when a deleted row
+    held its extreme, so a delta costs O(batch·d) unless it deletes an
+    extreme.  The input arrays are never modified.
     """
     repaired = []
     for old, reduce, fold in (
@@ -192,38 +223,44 @@ def repair_extrema(
         new = fold(old, reduce(inserts, axis=0)) if inserts.shape[0] else old.copy()
         if removed.shape[0]:
             for column in np.flatnonzero((removed == old).any(axis=0)).tolist():
-                new[column] = reduce(new_values[:, column])
+                new[column] = reduce(live_column(column))
         repaired.append(new)
     return repaired[0], repaired[1]
 
 
 def repair_merge_result(
     result: MergeResult,
-    old_values: np.ndarray,
+    rows: np.ndarray,
     inserts: np.ndarray,
     deletes: np.ndarray,
+    first_new: int,
+    cardinality: int,
     counter: DominanceCounter,
 ) -> MergeResult | None:
     """Suffix-repair one cached Merge result, or ``None`` if unrepairable.
 
-    Keeps the pivot set fixed: every surviving mask stays a union of
-    dominating subspaces against the same anchors, so the boosted scan's
-    Lemma 5.1 superset queries remain sound.  Each insert is classified
-    against every pivot exactly as the Merge loop would classify a point
-    that outlived every extraction — one charged test per (insert, pivot)
-    pair — and joins ``remaining_ids`` with the unioned mask, the
-    duplicate set (coordinate-equal to a pivot) or the pruned set.
+    ``result`` and ``deletes`` are in stable ids, ``rows`` holds every
+    stable id's row, the inserts take ids from ``first_new`` on and
+    ``cardinality`` is the live row count after the delta.  Keeps the
+    pivot set fixed: every surviving mask stays a union of dominating
+    subspaces against the same anchors, so the boosted scan's Lemma 5.1
+    superset queries remain sound.  Each insert is classified against
+    every pivot exactly as the Merge loop would classify a point that
+    outlived every extraction — one charged test per (insert, pivot) pair
+    — and joins ``remaining_ids`` with the unioned mask, the duplicate set
+    (coordinate-equal to a pivot) or the pruned set.  Deleted ids are left
+    in place; the cost is O(batch · pivots), not O(n).
     """
-    pivots = np.asarray(result.pivot_ids, dtype=np.intp)
-    if deletes.size and bool(np.isin(pivots, deletes).any()):
+    if not set(result.pivot_ids).isdisjoint(deletes.tolist()):
         return None  # a pivot left the dataset; pruning evidence is gone
+    pivots = np.asarray(result.pivot_ids, dtype=np.intp)
     k = int(inserts.shape[0])
     survivors = np.ones(k, dtype=bool)
     duplicate_inserts = np.zeros(k, dtype=bool)
     insert_masks = np.zeros(k, dtype=np.int64)
-    pivots_dominated = dominance_matrix(old_values[pivots], inserts).any(axis=1)
+    pivots_dominated = dominance_matrix(rows[pivots], inserts).any(axis=1)
     for pivot_id, dominated in zip(pivots.tolist(), pivots_dominated.tolist()):
-        pivot_row = old_values[pivot_id]
+        pivot_row = rows[pivot_id]
         subs = dominating_subspaces(inserts, pivot_row, counter)
         if dominated:
             return None  # an insert dominates this pivot
@@ -232,40 +269,43 @@ def repair_merge_result(
         survivors &= ~((subs == 0) | equal)
         insert_masks = bitset.union(insert_masks, subs)
 
-    keep = (
-        ~np.isin(result.remaining_ids, deletes)
-        if deletes.size
-        else np.ones(result.remaining_ids.shape[0], dtype=bool)
-    )
-    base = old_values.shape[0] - int(deletes.size)
-    new_ids = base + np.flatnonzero(survivors)
     remaining = np.concatenate(
-        [remap_ids(result.remaining_ids[keep], deletes), new_ids]
+        [result.remaining_ids, first_new + np.flatnonzero(survivors)]
     ).astype(np.intp)
-    masks = np.concatenate([result.masks[keep], insert_masks[survivors]]).astype(
-        np.int64
-    )
-    delete_set = set(deletes.tolist())
-    kept_duplicates = np.asarray(
-        [i for i in result.duplicate_skyline_ids if i not in delete_set],
-        dtype=np.intp,
-    )
+    masks = np.concatenate([result.masks, insert_masks[survivors]]).astype(np.int64)
     duplicates = [
-        *(int(i) for i in remap_ids(kept_duplicates, deletes)),
-        *(int(base + i) for i in np.flatnonzero(duplicate_inserts)),
+        *result.duplicate_skyline_ids,
+        *(first_new + int(i) for i in np.flatnonzero(duplicate_inserts)),
     ]
     metadata = dict(result.metadata)
     metadata["delta_repaired"] = True
-    metadata["cardinality"] = base + k
-    return MergeResult(
-        pivot_ids=[int(i) for i in remap_ids(pivots, deletes)],
+    metadata["cardinality"] = cardinality
+    return replace(
+        result,
         duplicate_skyline_ids=duplicates,
         remaining_ids=remaining,
         masks=masks,
-        iterations=result.iterations,
-        final_stability=result.final_stability,
         exhausted=remaining.size == 0,
         metadata=metadata,
+    )
+
+
+def live_merge_result(result: MergeResult, tombstones: np.ndarray) -> MergeResult:
+    """``result`` with tombstoned ids dropped and stable ids made positional."""
+    if tombstones.size == 0:
+        return result
+    keep = ~np.isin(result.remaining_ids, tombstones)
+    remaining = remap_ids(result.remaining_ids[keep], tombstones)
+    duplicates = np.asarray(result.duplicate_skyline_ids, dtype=np.intp)
+    duplicates = duplicates[~np.isin(duplicates, tombstones)]
+    pivots = np.asarray(result.pivot_ids, dtype=np.intp)
+    return replace(
+        result,
+        pivot_ids=remap_ids(pivots, tombstones).tolist(),
+        duplicate_skyline_ids=remap_ids(duplicates, tombstones).tolist(),
+        remaining_ids=remaining,
+        masks=result.masks[keep],
+        exhausted=remaining.size == 0,
     )
 
 

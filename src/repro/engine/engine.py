@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.algorithms.base import SkylineResult, run_timed
+from repro.algorithms.base import SkylineResult, timed_result
 from repro.algorithms.registry import get_algorithm
 from repro.core.boost import BoostableHost, run_boosted_scan, run_unboosted_scan
 from repro.dataset import Dataset, as_dataset
@@ -124,7 +124,7 @@ class SkylineEngine:
             if events.enabled:
                 events.emit(
                     "query.start",
-                    dataset=prepared.dataset.name,
+                    dataset=prepared.name,
                     n=prepared.cardinality,
                     d=prepared.dimensionality,
                     algorithm=algorithm if algorithm is not None else "auto",
@@ -157,20 +157,24 @@ class SkylineEngine:
                     parallel_strategy=executed.parallel_strategy,
                 )
 
-            def body(dataset: Dataset, body_counter: DominanceCounter) -> list[int]:
+            def body() -> list[int]:
                 with tracer.span(
                     "execute",
-                    counter=body_counter,
+                    counter=run_counter,
                     algorithm=executed.label,
                     sigma=executed.sigma,
                     boosted=executed.boosted,
                     workers=executed.workers,
-                    n=dataset.cardinality,
-                    d=dataset.dimensionality,
+                    n=prepared.cardinality,
+                    d=prepared.dimensionality,
                 ):
-                    return self._run_plan(prepared, executed, dataset, body_counter)
+                    return self._run_plan(prepared, executed, run_counter)
 
-            result = run_timed(executed.label, prepared.dataset, run_counter, body)
+            # An incremental plan never reads the positional rows, so the
+            # result is packaged from the prepared dataset's shape alone.
+            result = timed_result(
+                executed.label, prepared.cardinality, run_counter, body
+            )
             # Every execution ends with the current full skyline in hand;
             # noting it gives the next apply_delta a repair base.  After an
             # incremental run this matches the rebased stream state, so the
@@ -220,7 +224,7 @@ class SkylineEngine:
             if events.enabled:
                 events.emit(
                     "delta.apply",
-                    dataset=prepared.dataset.name,
+                    dataset=prepared.name,
                     mode=report.mode,
                     inserted=report.inserted,
                     deleted=report.deleted,
@@ -236,7 +240,6 @@ class SkylineEngine:
         self,
         prepared: PreparedDataset,
         plan: Plan,
-        dataset: Dataset,
         counter: DominanceCounter,
     ) -> list[int]:
         if plan.incremental:
@@ -244,7 +247,7 @@ class SkylineEngine:
             if events.enabled:
                 events.emit(
                     "delta.repair",
-                    dataset=prepared.dataset.name,
+                    dataset=prepared.name,
                     pending=plan.pending_mutations,
                 )
             with self.context.tracer.span(
@@ -253,6 +256,8 @@ class SkylineEngine:
                 pending=plan.pending_mutations,
             ):
                 return prepared.repair_skyline(counter)
+        # A full plan scans the positional rows (one gather after a delta).
+        dataset = prepared.dataset
         if plan.workers > 1:
             # Block-parallel path: lazy import keeps engine -> extensions
             # off the module import graph (extensions import the engine).

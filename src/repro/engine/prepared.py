@@ -32,11 +32,28 @@ the result (:meth:`note_skyline`); when the planner later chooses an
 incremental plan, :meth:`repair_skyline` replays the logged delta batches
 through a columnar :class:`~repro.extensions.streaming.StreamingSkyline`
 bootstrapped from the noted skyline — no batch recomputation.
+
+Rows are addressed by two id spaces.  Inside the prepared dataset every
+row keeps one *stable* id for its whole life: rows live in an append-only
+:class:`~repro.structures.rowstore.RowStore`, inserts take the next ids and
+a delete adds its ids to a sorted tombstone array, so a small delta costs
+O(batch) instead of re-splicing every array behind it.  Cached Merge
+results, the noted skyline, the delta log and the replay stream (which
+reads this same row store) all use stable ids.  Callers see *positional*
+ids — the live rows closing ranks in stable order — and results become
+positional only on the way out, through
+:func:`~repro.engine.delta.remap_ids`.  The positional :attr:`dataset` is
+one gather of the live rows, built when something reads it: eagerly at the
+end of :meth:`apply_delta` (the handle callers hold), lazily for views and
+full plans.  The id space is compacted (tombstones dropped, live rows
+renumbered) only where an O(n) pass happens anyway — a recompute,
+:meth:`invalidate`, a full query that rebases the replay — or once
+tombstones outnumber the live rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
@@ -48,9 +65,12 @@ from repro.engine.delta import (
     DeltaReport,
     DeltaState,
     absorb_since,
+    live_merge_result,
     normalize_delta,
+    remap_ids,
     repair_extrema,
     repair_merge_result,
+    stable_ids,
 )
 from repro.errors import InvalidParameterError
 from repro.obs.events import current_event_log
@@ -61,6 +81,7 @@ from repro.stats.estimate import (
     expected_skyline_size,
     expected_skyline_size_asymptotic,
 )
+from repro.structures.rowstore import RowStore
 
 if TYPE_CHECKING:
     from collections.abc import Mapping, Sequence
@@ -169,7 +190,8 @@ class PreparedDataset:
         The dataset (or raw array) to prepare.  The wrapped
         :class:`~repro.dataset.Dataset` is immutable; ``invalidate`` exists
         for callers that rebind :attr:`dataset` semantics externally (e.g.
-        a registry slot reused for fresh data).
+        a registry slot reused for fresh data).  Assigning :attr:`dataset`
+        replaces the row store; call ``invalidate`` after it.
 
     Notes
     -----
@@ -188,38 +210,86 @@ class PreparedDataset:
             raise InvalidParameterError(
                 f"repair_threshold must be in [0, 1], got {repair_threshold}"
             )
-        self.dataset = as_dataset(data)
         self.version = 0
         self.repair_threshold = repair_threshold
         self._column_major: np.ndarray | None = None
         self._statistics: DatasetStatistics | None = None
         self._extrema: tuple[np.ndarray, np.ndarray] | None = None
+        # Stable cached Merge results (see `merged`).
         self._merge_cache = _FifoCache()
         self._sort_caches = _FifoCache()
         self._view_cache = _FifoCache()
         self._artefacts = _FifoCache()
-        # Mutation state (see `apply_delta` / `note_skyline`): the noted
-        # skyline is self-validating — it stores the Dataset it was
-        # computed against, so it cannot silently outlive the data.
-        self._base_dataset: Dataset | None = None
+        # Mutation state (see `apply_delta` / `note_skyline`), in stable
+        # ids: the noted skyline, the ids issued when it was noted (every
+        # one of them live then), the batches logged since and the replay
+        # stream.  `_noted` is the positional form of the last note, valid
+        # at `_noted_version`, so a repeated note is recognised as a no-op.
         self._base_skyline: np.ndarray | None = None
+        self._base_issued = 0
+        self._noted: np.ndarray | None = None
+        self._noted_version = -1
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self._pending_ops = 0
-        self._row_map: np.ndarray | None = None
-        self._next_stream_id = 0
         self._stream: "StreamingSkyline | None" = None
+        self.dataset = as_dataset(data)
 
-    # -- shape conveniences -------------------------------------------------
+    # -- rows and shape -----------------------------------------------------
+
+    @property
+    def dataset(self) -> Dataset:
+        """The live rows as a positional :class:`~repro.dataset.Dataset`.
+
+        Row ``i`` is the ``i``-th live row in stable-id order.  Built on
+        first read after a delta by one gather of the live rows (no copy
+        while nothing is tombstoned), without re-validating rows that were
+        checked on arrival.
+        """
+        return self._positional()
+
+    @dataset.setter
+    def dataset(self, dataset: Dataset) -> None:
+        """Replace the rows wholesale; stable ids restart at the new rows."""
+        self._dataset = dataset
+        self._name, self._kind = dataset.name, dataset.kind
+        # The dataset's rows are immutable, so the store adopts them and
+        # copies only when the first insert needs room.
+        self._row_store = RowStore(dataset.values)
+        self._issued = dataset.cardinality
+        self._tombstones = np.empty(0, dtype=np.intp)
+        self._forget_mutation_state()
+
+    def _positional(self) -> Dataset:
+        if self._dataset is None:
+            self._dataset = Dataset._trusted(
+                self._live(self._row_store.rows[: self._issued]),
+                self._name,
+                self._kind,
+            )
+        return self._dataset
+
+    def _live(self, by_id: np.ndarray) -> np.ndarray:
+        """The entries of ``by_id`` (indexed by stable id) for live rows."""
+        if not self._tombstones.size:
+            return by_id
+        live = np.ones(self._issued, dtype=bool)
+        live[self._tombstones] = False
+        return np.compress(live, by_id, axis=0)
+
+    @property
+    def name(self) -> str:
+        """The dataset's name (no positional rows needed)."""
+        return self._name
 
     @property
     def cardinality(self) -> int:
         """Number of points ``N``."""
-        return self.dataset.cardinality
+        return self._issued - int(self._tombstones.size)
 
     @property
     def dimensionality(self) -> int:
         """Number of dimensions ``d``."""
-        return self.dataset.dimensionality
+        return int(self._row_store.rows.shape[1])
 
     @property
     def values(self) -> np.ndarray:
@@ -293,7 +363,9 @@ class PreparedDataset:
 
         A miss runs Merge with its dominance tests charged on ``counter``
         (identical accounting to the cold path); a hit returns the cached
-        :class:`~repro.core.merge.MergeResult` and charges nothing.
+        :class:`~repro.core.merge.MergeResult` and charges nothing.  The
+        cache holds stable ids; a hit after a delta translates them to
+        positional ids once (deleted rows dropped).
         """
         d = self.dimensionality
         if sigma is None:
@@ -314,11 +386,11 @@ class PreparedDataset:
                     sigma=sigma,
                     pivots=len(cached.pivot_ids),  # type: ignore[attr-defined]
                 )
-            return cached  # type: ignore[return-value]
+            return live_merge_result(cached, self._tombstones)  # type: ignore[arg-type]
         self._record(counter, hit=False)
         run_counter = counter if counter is not None else DominanceCounter()
         result = merge(self.dataset, sigma, run_counter, pivot_strategy=pivot_strategy)
-        self._merge_cache.insert(key, result)
+        self._merge_cache.insert(key, self._stable_merge(result))
         return result
 
     def sort_cache(self, key: str) -> dict[str, object]:
@@ -367,8 +439,8 @@ class PreparedDataset:
         view = PreparedDataset(
             Dataset(
                 _project(values, dims_key, maxima),
-                name=f"{self.dataset.name}[view:{dims_key}]",
-                kind=self.dataset.kind,
+                name=f"{self._name}[view:{dims_key}]",
+                kind=self._kind,
             ),
             repair_threshold=self.repair_threshold,
         )
@@ -422,33 +494,49 @@ class PreparedDataset:
         :attr:`version` exactly once (the recompute path bumps through
         :meth:`invalidate`).  Repair dominance tests (insert-vs-pivot
         classification, view recursion) are charged on ``counter``.
+
+        Internally the repair is O(batch) per prepared dataset: inserts
+        append to the row store, deletes become tombstones, and the new
+        positional :attr:`dataset` is one gather of the live rows at the
+        end (views rebuild theirs only when something reads it).
         """
+        report = self._apply(inserts, deletes, counter, mode)
+        self._positional()
+        return report
+
+    def _apply(
+        self,
+        inserts: "np.ndarray | Sequence[Sequence[float]] | None",
+        deletes: "np.ndarray | Sequence[int] | None",
+        counter: DominanceCounter | None,
+        mode: str | None,
+    ) -> DeltaReport:
+        """:meth:`apply_delta` without building the positional dataset."""
         if mode not in (None, "repair", "recompute"):
             raise InvalidParameterError(
                 f"mode must be None, 'repair' or 'recompute', got {mode!r}"
             )
-        old = self.dataset
-        ins, dels = normalize_delta(old.values, inserts, deletes)
+        n, d = self.cardinality, self.dimensionality
+        ins, dels = normalize_delta((n, d), inserts, deletes)
         inserted, deleted = int(ins.shape[0]), int(dels.size)
         if inserted == 0 and deleted == 0:
             return DeltaReport(
                 mode="noop", inserted=0, deleted=0, fraction=0.0, version=self.version
             )
-        if old.cardinality - deleted + inserted == 0:
+        if n - deleted + inserted == 0:
             raise InvalidParameterError("delta would empty the dataset")
-        fraction = (inserted + deleted) / old.cardinality
-        kept = (
-            np.delete(old.values, dels, axis=0) if deleted else old.values
-        )
-        new_values = np.vstack([kept, ins]) if inserted else np.array(kept, copy=True)
-        new_dataset = Dataset(new_values, name=old.name, kind=old.kind)
+        fraction = (inserted + deleted) / n
 
         repair = mode == "repair" or (
             mode is None and fraction <= self.repair_threshold
         )
         if not repair:
-            self.dataset = new_dataset
-            self._forget_mutation_state()
+            live = self.dataset.values
+            kept = np.ones(n, dtype=bool)
+            kept[dels] = False
+            self.dataset = Dataset._trusted(
+                np.concatenate([live[kept], ins]), self._name, self._kind
+            )
             self.invalidate()
             return DeltaReport(
                 mode="recompute",
@@ -465,19 +553,28 @@ class PreparedDataset:
             counter=run_counter,
             inserted=inserted,
             deleted=deleted,
-            n=new_dataset.cardinality,
+            n=n - deleted + inserted,
         ):
             old_min, old_max = self.extrema()
+            doomed = stable_ids(dels, self._tombstones)
+            first_new = self._issued
+            if inserted:
+                self._row_store.reserve(first_new + inserted)
+                self._row_store.rows[first_new : first_new + inserted] = ins
+                self._issued += inserted
+            rows = self._row_store.rows
+            self._tombstones = np.insert(
+                self._tombstones, np.searchsorted(self._tombstones, doomed), doomed
+            )
+            self._dataset = None
             new_min, new_max = repair_extrema(
-                (old_min, old_max), old.values[dels], ins, new_values
+                (old_min, old_max), rows[doomed], ins, self._live_column
             )
             merge_repaired, merge_dropped = self._repair_merge_entries(
-                old.values, ins, dels, run_counter
+                ins, doomed, first_new, run_counter
             )
             sort_tagged, sort_dropped = self._tag_sort_caches(
-                bool(np.array_equal(old_min, new_min)),
-                dels,
-                old.cardinality - deleted,
+                bool(np.array_equal(old_min, new_min)), dels, n - deleted
             )
             views_repaired, views_dropped = self._repair_views(
                 ins, dels, old_max, old_max != new_max, run_counter
@@ -487,23 +584,15 @@ class PreparedDataset:
             self._statistics = None
             self._column_major = None
             if self._base_skyline is not None:
-                # Log the batch in stream-id coordinates so repair_skyline
-                # can replay it regardless of how row ids shifted since.
-                row_map = self._ensure_row_map()
-                deleted_stream_ids = row_map[dels]
-                fresh = np.arange(
-                    self._next_stream_id,
-                    self._next_stream_id + inserted,
-                    dtype=np.int64,
-                )
-                self._row_map = np.concatenate(
-                    [np.delete(row_map, dels), fresh]
-                )
-                self._next_stream_id += inserted
-                self._pending.append((ins, deleted_stream_ids))
+                # Stable ids need no translation at replay: the deletes
+                # name the stream's own ids and the inserts take the next.
+                self._pending.append((ins, doomed))
                 self._pending_ops += inserted + deleted
-            self.dataset = new_dataset
             self.version += 1
+        if self._base_skyline is None and self._tombstones.size > self.cardinality:
+            # No replay state is keyed by the old ids (`repair_skyline`
+            # compacts the rest once it has replayed the log).
+            self._compact()
         return DeltaReport(
             mode="repair",
             inserted=inserted,
@@ -523,25 +612,24 @@ class PreparedDataset:
 
         Called by the engine after every sequential or parallel full
         execution.  Rebasing clears the pending delta log (the result
-        already reflects the mutated data) and drops a stale replay
-        stream; a note that matches the current base is a no-op, so warm
-        repair streams survive repeated queries.
+        already reflects the mutated data), drops a stale replay stream
+        and compacts the id space, so the base's stable ids are its
+        positional ids; a note that matches the current base is a no-op,
+        so warm repair streams survive repeated queries.
         """
         ids = np.asarray(indices, dtype=np.intp)
         if (
             not self._pending
-            and self._base_dataset is self.dataset
-            and self._base_skyline is not None
-            and np.array_equal(self._base_skyline, ids)
+            and self._noted is not None
+            and self._noted_version == self.version
+            and np.array_equal(self._noted, ids)
         ):
             return
-        self._base_dataset = self.dataset
+        self._forget_mutation_state()
+        self._compact()
         self._base_skyline = ids.copy()
-        self._pending = []
-        self._pending_ops = 0
-        self._row_map = None
-        self._next_stream_id = self.cardinality
-        self._stream = None
+        self._base_issued = self._issued
+        self._noted, self._noted_version = self._base_skyline, self.version
 
     def delta_state(self) -> DeltaState | None:
         """Pending-mutation summary for the planner; ``None`` when clean."""
@@ -563,11 +651,13 @@ class PreparedDataset:
         noted base skyline on first use (one vectorised anchor-mask pass —
         no batch skyline run), replays each logged batch (deletes first,
         then inserts), and maps the stream's skyline back to current row
-        ids.  The stream's dominance tests accrued during this call are
-        charged on ``counter``; afterwards the state is rebased so the
-        stream stays warm for the next delta.
+        ids.  The stream reads this dataset's row store, so its ids are
+        the stable ids and only the returned skyline is translated.  The
+        stream's dominance tests accrued during this call are charged on
+        ``counter``; afterwards the state is rebased so the stream stays
+        warm for the next delta.
         """
-        if self._base_skyline is None or self._base_dataset is None:
+        if self._base_skyline is None:
             raise InvalidParameterError(
                 "no noted skyline to repair from; run a full query first"
             )
@@ -577,10 +667,11 @@ class PreparedDataset:
             # Imported lazily: extensions import the engine package.
             from repro.extensions.streaming import StreamingSkyline
 
-            stream = StreamingSkyline.from_dataset(
-                self._base_dataset,
+            stream = StreamingSkyline._over_store(
+                self._row_store,
+                self._base_issued,
+                self._base_skyline,
                 anchors=_STREAM_ANCHORS,
-                skyline_ids=self._base_skyline,
             )
             self._stream = stream
         before = stream.counter.snapshot()
@@ -590,29 +681,31 @@ class PreparedDataset:
             if batch_inserts.shape[0]:
                 stream.insert_many(batch_inserts)
         absorb_since(run_counter, stream.counter, before)
-        row_map = self._ensure_row_map()
-        stream_skyline = np.asarray(stream.skyline_ids(), dtype=np.int64)
-        rows = np.searchsorted(row_map, stream_skyline).astype(np.intp)
-        self._base_dataset = self.dataset
-        self._base_skyline = rows.copy()
+        self._base_skyline = np.asarray(stream.skyline_ids(), dtype=np.intp)
         self._pending = []
         self._pending_ops = 0
+        rows = remap_ids(self._base_skyline, self._tombstones)
+        self._noted, self._noted_version = rows, self.version
+        if self._tombstones.size > self.cardinality:
+            self._compact()
         return rows.tolist()
 
     def _repair_merge_entries(
         self,
-        old_values: np.ndarray,
         ins: np.ndarray,
-        dels: np.ndarray,
+        doomed: np.ndarray,
+        first_new: int,
         counter: DominanceCounter,
     ) -> tuple[int, int]:
         repaired = dropped = 0
         for key in list(self._merge_cache):
             fixed = repair_merge_result(
                 self._merge_cache[key],  # type: ignore[arg-type]
-                old_values,
+                self._row_store.rows,
                 ins,
-                dels,
+                doomed,
+                first_new,
+                self.cardinality,
                 counter,
             )
             if fixed is None:
@@ -631,7 +724,8 @@ class PreparedDataset:
     ) -> tuple[int, int]:
         # Sort keys are computed against the dataset's minimum corner; if
         # the delta moves the corner every cached key is stale, so the
-        # caches are dropped rather than tagged.
+        # caches are dropped rather than tagged.  Sort orders scan the
+        # positional dataset, so the tag carries positional ids.
         tagged = dropped = 0
         for key in list(self._sort_caches):
             entry = self._sort_caches[key]
@@ -674,28 +768,64 @@ class PreparedDataset:
                 continue
             # Otherwise `maxima` is still the maximum the view was built
             # on, and the inserts project exactly as a cold view would.
+            # Views keep their own stable ids, so they take the positional
+            # deletes and translate them themselves.
             flipped = {dim: maxima[dim] for dim in flip_key}
-            view.apply_delta(  # type: ignore[attr-defined]
-                inserts=_project(ins, dims_key, flipped),
-                deletes=dels,
-                counter=counter,
-                mode="repair",
+            view._apply(  # type: ignore[attr-defined]
+                _project(ins, dims_key, flipped), dels, counter, "repair"
             )
             repaired += 1
         return repaired, dropped
 
-    def _ensure_row_map(self) -> np.ndarray:
-        if self._row_map is None:
-            self._row_map = np.arange(self.cardinality, dtype=np.int64)
-        return self._row_map
+    def _stable_merge(self, result: MergeResult) -> MergeResult:
+        """A positional Merge result in stable ids, for the cache."""
+        if not self._tombstones.size:
+            return result
+        tombstones = self._tombstones
+        return replace(
+            result,
+            pivot_ids=stable_ids(result.pivot_ids, tombstones).tolist(),
+            duplicate_skyline_ids=stable_ids(
+                result.duplicate_skyline_ids, tombstones
+            ).tolist(),
+            remaining_ids=stable_ids(result.remaining_ids, tombstones),
+        )
+
+    def _live_column(self, column: int) -> np.ndarray:
+        """Column ``column`` of the live rows (stable order)."""
+        return self._live(self._row_store.rows[: self._issued, column])
+
+    def _compact(self) -> None:
+        """Renumber the live rows ``0..n-1`` and drop the tombstones.
+
+        Cached Merge results and the noted skyline are translated to the
+        new ids; the replay stream, whose state is keyed by the old ids,
+        is dropped and re-bootstraps from the noted skyline when next
+        needed.  Needs an empty delta log (its deletes name dead ids).
+        """
+        tombstones = self._tombstones
+        if not tombstones.size:
+            return
+        for key in list(self._merge_cache):
+            self._merge_cache[key] = live_merge_result(  # noqa: RPR008 — renumbering ids changes no data, so the version stays
+                self._merge_cache[key], tombstones  # type: ignore[arg-type]
+            )
+        if self._base_skyline is not None:
+            self._base_skyline = remap_ids(self._base_skyline, tombstones)
+        self._stream = None
+        dataset = self.dataset
+        self._row_store = RowStore(dataset.values)
+        self._issued = dataset.cardinality
+        self._tombstones = np.empty(0, dtype=np.intp)
+        self._base_issued = self._issued
 
     def _forget_mutation_state(self) -> None:
-        self._base_dataset = None
         self._base_skyline = None
+        self._base_issued = 0
+        self._noted = None
+        self._noted_version = -1
         self._pending = []
         self._pending_ops = 0
-        self._row_map = None
-        self._next_stream_id = 0
         self._stream = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -713,7 +843,7 @@ class PreparedDataset:
             dropped = self.cache_info()
             events.emit(
                 "cache.invalidate",
-                dataset=self.dataset.name,
+                dataset=self._name,
                 version=self.version + 1,
                 merge=dropped["merge"],
                 sort=dropped["sort"],
@@ -754,6 +884,6 @@ class PreparedDataset:
 
     def __repr__(self) -> str:
         return (
-            f"PreparedDataset({self.dataset.name!r}, n={self.cardinality}, "
+            f"PreparedDataset({self._name!r}, n={self.cardinality}, "
             f"d={self.dimensionality}, version={self.version})"
         )

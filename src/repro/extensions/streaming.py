@@ -14,13 +14,16 @@ keeps the current skyline in a
 masks — candidate dominators for any
 probe are retrieved with one subset query.
 
-Storage is columnar: one amortised-doubling ``(capacity, d)`` row matrix
+Storage is columnar: an append-only :class:`~repro.structures.rowstore.RowStore`
 where the stream id *is* the row index, plus parallel liveness /
-skyline-membership / mask arrays.  Stream ids are never reused, so the
-matrix only ever grows; deleted rows cost their slot but nothing else.
-Sweeps operate on the columnar prefix directly: demotion after an insert
-and the elimination sweeps are :func:`~repro.dominance.dominance_matrix`
-calls on gathered blocks, charged as the per-point loops would be.
+skyline-membership / mask arrays that grow with it by a bounded step.
+Stream ids are never reused, so the store only ever grows; deleted rows
+cost their slot but nothing else.  A prepared dataset's replay stream
+reads the prepared layer's own store, so its stream ids are the prepared
+dataset's stable row ids.  Sweeps operate on the columnar prefix directly:
+demotion after an insert and the elimination sweeps are
+:func:`~repro.dominance.dominance_matrix` calls on gathered blocks, charged
+as the per-point loops would be.
 
 Sliding windows: constructing with ``window=k`` evicts the oldest live
 point (full delete semantics, promotions included) whenever an insert
@@ -32,7 +35,12 @@ dominate it, recorded when the point is first dominated (insert probe,
 demotion, or bulk elimination) and refreshed whenever its witness dies.
 Deletes therefore never rescan the buffer — only points whose witness is
 among the deleted ids can possibly join the skyline, and exactly those are
-re-probed against the surviving skyline (new witness or promotion).  The
+re-probed against the surviving skyline (new witness or promotion).  They
+are found through a witness→dependents index: ``(witness, dependent)``
+pairs kept in a few sorted runs (built vectorised at bootstrap, merged
+logarithmically as witnesses change).  Pairs are never updated in place;
+one goes stale when its dependent is re-witnessed, promoted or deleted,
+and is skipped on lookup and dropped when its run is merged.  The
 witness invariant — every buffered point's witness is live and dominates
 it — makes the candidate scan pure bookkeeping: no dominance test is
 charged for points whose proof of domination still stands.
@@ -55,13 +63,11 @@ from repro.core.container import SubsetContainer
 from repro.dominance import dominance_matrix, first_dominator, sum_order
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.stats.counters import DominanceCounter
+from repro.structures.rowstore import RowStore
 
 if TYPE_CHECKING:
     from repro.dataset import Dataset
     from repro.engine import SkylineEngine
-
-#: Initial row-matrix capacity; doubles whenever the stream outgrows it.
-_MIN_CAPACITY = 64
 
 #: Dominator rows compared per vectorised elimination round of the batched
 #: promotion sweep.  Dominator blocks are sorted by ascending coordinate
@@ -69,6 +75,10 @@ _MIN_CAPACITY = 64
 #: chunk — small chunks keep the charged tests close to what a short-
 #: circuiting per-candidate probe would charge while staying vectorised.
 _PROMOTION_CHUNK = 64
+
+#: Scalar witness writes queued before they are sorted into a run of the
+#: dependents index (a delete flushes the queue earlier).
+_QUEUE_FLUSH = 1024
 
 #: First-chunk row count of the chunk-gathered dominance probe
 #: (:meth:`StreamingSkyline._find_dominator`); grows geometrically, same
@@ -128,14 +138,19 @@ class StreamingSkyline:
         # Columnar state: the stream id is the row index into `_rows`; the
         # boolean prefixes `[:_next_id]` encode liveness and skyline
         # membership (buffer = live & ~in_sky).  Ids are never reused.
-        self._rows = np.empty((_MIN_CAPACITY, d), dtype=np.float64)
-        self._live = np.zeros(_MIN_CAPACITY, dtype=bool)
-        self._in_sky = np.zeros(_MIN_CAPACITY, dtype=bool)
-        self._mask_arr = np.zeros(_MIN_CAPACITY, dtype=np.int64)
+        self._row_store = RowStore.empty(d)
+        self._live = np.zeros(0, dtype=bool)
+        self._in_sky = np.zeros(0, dtype=bool)
+        self._mask_arr = np.zeros(0, dtype=np.int64)
         # Witness column: for each buffered point, the id of one live
         # point that dominates it (-1 for skyline members).  Deletes only
-        # re-probe points whose witness died.
-        self._witness = np.full(_MIN_CAPACITY, -1, dtype=np.intp)
+        # re-probe points whose witness died, found through the sorted
+        # (witness, dependent) runs; scalar witness writes queue their
+        # pairs until the next lookup.
+        self._witness = np.full(0, -1, dtype=np.intp)
+        self._dependents: list[tuple[np.ndarray, np.ndarray]] = []
+        self._queued: list[tuple[int, int]] = []
+        self._resize_ids(self._row_store.rows.shape[0])
         self._next_id = 0
         self._live_count = 0
         self._oldest = 0  # monotone eviction cursor for window mode
@@ -183,16 +198,6 @@ class StreamingSkyline:
             counter=counter,
             window=window,
         )
-        values = dataset.values
-        stream._grow_to(n)
-        stream._rows[:n] = values
-        stream._live[:n] = True
-        stream._next_id = n
-        stream._live_count = n
-        stream._n_anchors = min(anchors, n)
-        stream._anchor_block[: stream._n_anchors] = values[: stream._n_anchors]
-        stream._mask_arr[:n] = stream._masks_of(values)
-
         if skyline_ids is None:
             from repro.engine import SkylineEngine
 
@@ -201,29 +206,61 @@ class StreamingSkyline:
             sky = np.asarray(result.indices, dtype=np.intp)
         else:
             sky = np.asarray(skyline_ids, dtype=np.intp)
-        stream._in_sky[sky] = True
-        masks_list = stream._mask_arr[sky].tolist()
+        # The dataset's rows are immutable: the store adopts them and
+        # copies only when the first insert needs room.
+        stream._load(RowStore(dataset.values), n, sky)
+        return stream
+
+    @classmethod
+    def _over_store(
+        cls, store: RowStore, n: int, skyline_ids: np.ndarray, anchors: int
+    ) -> "StreamingSkyline":
+        """A stream over rows ``[0, n)`` of a shared ``store``, all live.
+
+        The prepared layer's warm start: ``skyline_ids`` are trusted, and
+        the stream reads (and appends to) the prepared dataset's own row
+        store, so stream ids are its stable row ids.
+        """
+        stream = cls(store.rows.shape[1], anchors=anchors)
+        stream._load(store, n, np.asarray(skyline_ids, dtype=np.intp))
+        return stream
+
+    def _load(self, store: RowStore, n: int, sky: np.ndarray) -> None:
+        """Take rows ``[0, n)`` of ``store`` as the prefix, with skyline ``sky``."""
+        self._row_store = store
+        self._resize_ids(max(n, store.rows.shape[0]))
+        values = store.rows[:n]
+        self._live[:n] = True
+        self._next_id = n
+        self._live_count = n
+        self._n_anchors = min(self._max_anchors, n)
+        self._anchor_block[: self._n_anchors] = values[: self._n_anchors]
+        self._mask_arr[:n] = self._masks_of(values)
+        self._in_sky[sky] = True
+        masks_list = self._mask_arr[sky].tolist()
         for point_id, mask in zip(sky.tolist(), masks_list):
-            stream._store.add(point_id, mask)
+            self._store.add(point_id, mask)
         # Witness discovery: every non-skyline row is dominated by some
         # skyline row; one bulk elimination sweep records a dominator id
         # per buffered point so later deletes re-probe only orphans.  This
         # is the bulk analogue of the per-arrival probe, charged the same
         # way, and it runs once per bulk load.
-        buffered = np.flatnonzero(stream._live[:n] & ~stream._in_sky[:n])
+        buffered = np.flatnonzero(self._live[:n] & ~self._in_sky[:n])
         if buffered.size:
-            sky_rows, sky_ids_sorted = stream._sky_by_sum()
-            _, witness = stream._eliminate(
-                stream._rows[buffered], sky_rows, sky_ids_sorted
-            )
-            stream._witness[buffered] = witness
-        return stream
+            sky_rows, sky_ids_sorted = self._sky_by_sum()
+            _, witness = self._eliminate(values[buffered], sky_rows, sky_ids_sorted)
+            self._witness_block(buffered, witness)
 
     # -- introspection -------------------------------------------------------
 
     @property
     def dimensionality(self) -> int:
         return self._d
+
+    @property
+    def _rows(self) -> np.ndarray:
+        """The row matrix; row ``i`` holds stream id ``i``."""
+        return self._row_store.rows
 
     @property
     def counter(self) -> DominanceCounter:
@@ -317,7 +354,7 @@ class StreamingSkyline:
         self._rows[base : base + k] = block
         self._live[base : base + k] = True
         self._mask_arr[base : base + k] = masks
-        self._witness[base : base + k] = witness
+        self._witness_block(np.arange(base, base + k), witness)
         self._next_id = base + k
         self._live_count += k
         survivors = np.flatnonzero(~dominated)
@@ -333,29 +370,17 @@ class StreamingSkyline:
         live dominator — so the candidate scan is an uncharged id
         comparison and dominance tests are spent on the orphans alone.
         """
-        point_id = self._checked_live(point_id)
-        was_sky = bool(self._in_sky[point_id])
-        self._live[point_id] = False
-        self._in_sky[point_id] = False
-        self._live_count -= 1
-        if was_sky:
-            self._store.remove(point_id, int(self._mask_arr[point_id]))
-        # A demoted (buffered) point can be a witness too, so the orphan
-        # scan runs for every delete, skyline member or not.
-        buffer = self._buffer_ids()
-        if buffer.size == 0:
-            return
-        orphans = buffer[self._witness[buffer] == point_id]
-        self._promote_exposed(orphans, self._rows[orphans])
+        self.delete_many([point_id])
 
     def delete_many(self, point_ids: "Sequence[int] | np.ndarray") -> None:
         """Delete a batch of live points with one shared promotion sweep.
 
         The final state equals deleting the points one by one.  The
         witness column turns exposure into bookkeeping: only buffered
-        points whose witness is among the deleted ids are candidates, and
-        those orphans flow through one shared vectorised promotion sweep
-        (one dominance test per inspected pair).
+        points whose witness is among the deleted ids are candidates —
+        looked up in the dependents index, not by scanning the buffer —
+        and those orphans flow through one shared vectorised promotion
+        sweep (one dominance test per inspected pair).
         """
         ids = np.unique(np.asarray(point_ids, dtype=np.intp))
         if ids.size == 0:
@@ -369,10 +394,9 @@ class StreamingSkyline:
         masks_list = self._mask_arr[sky_deleted].tolist()
         for point_id, mask in zip(sky_deleted.tolist(), masks_list):
             self._store.remove(point_id, mask)
-        buffer = self._buffer_ids()
-        if buffer.size == 0:
-            return
-        orphans = buffer[np.isin(self._witness[buffer], ids)]
+        # A demoted (buffered) point can be a witness too, so the orphan
+        # lookup runs for every deleted id, skyline member or not.
+        orphans = self._orphans(ids)
         self._promote_exposed(orphans, self._rows[orphans])
 
     # -- internals -----------------------------------------------------------
@@ -413,7 +437,7 @@ class StreamingSkyline:
         """
         wid = self._find_dominator(row, mask)
         if wid != -1:
-            self._witness[point_id] = wid
+            self._witness_of(point_id, wid)
             return
         # New skyline point: demote every skyline point it now dominates.
         sky_ids = np.flatnonzero(self._in_sky[:point_id])
@@ -422,7 +446,7 @@ class StreamingSkyline:
         for demoted in sky_ids[dominated].tolist():
             self._in_sky[demoted] = False
             self._store.remove(demoted, int(self._mask_arr[demoted]))
-            self._witness[demoted] = point_id
+            self._witness_of(demoted, point_id)
         self._witness[point_id] = -1
         self._in_sky[point_id] = True
         self._store.add(point_id, mask)
@@ -460,20 +484,20 @@ class StreamingSkyline:
             point_id = int(base + survivors[j])
             dominator = next((p for p in promoted if dom_ss[p, j]), None)
             if dominator is not None:
-                self._witness[point_id] = int(base + survivors[dominator])
+                self._witness_of(point_id, int(base + survivors[dominator]))
                 continue
             for q_idx in np.flatnonzero(demote[j]).tolist():
                 q = sky_list[q_idx]
                 if self._in_sky[q]:
                     self._in_sky[q] = False
                     self._store.remove(q, int(self._mask_arr[q]))
-                    self._witness[q] = point_id
+                    self._witness_of(q, point_id)
             for p in promoted:
                 pid = int(base + survivors[p])
                 if self._in_sky[pid] and dom_ss[j, p]:
                     self._in_sky[pid] = False
                     self._store.remove(pid, int(self._mask_arr[pid]))
-                    self._witness[pid] = point_id
+                    self._witness_of(pid, point_id)
             self._witness[point_id] = -1
             self._in_sky[point_id] = True
             self._store.add(point_id, int(masks[survivors[j]]))
@@ -497,13 +521,13 @@ class StreamingSkyline:
         block = block[order]
         sky_rows, sky_ids_sorted = self._sky_by_sum()
         dominated, witness = self._eliminate(block, sky_rows, sky_ids_sorted)
-        self._witness[exposed] = witness
+        self._witness_block(exposed, witness)
         for buf_id in exposed[~dominated].tolist():
             mask = int(self._mask_arr[buf_id])
             wid = self._find_dominator(self._rows[buf_id], mask)
             if wid != -1:
                 # Dominated by a candidate promoted earlier in this sweep.
-                self._witness[buf_id] = wid
+                self._witness_of(buf_id, wid)
             else:
                 self._witness[buf_id] = -1
                 self._in_sky[buf_id] = True
@@ -605,34 +629,94 @@ class StreamingSkyline:
             raise KeyError(f"point {point_id} is not live")
         return point_id
 
-    def _buffer_ids(self) -> np.ndarray:
-        prefix = slice(0, self._next_id)
-        return np.flatnonzero(self._live[prefix] & ~self._in_sky[prefix])
-
     def _grow_to(self, needed: int) -> None:
-        capacity = self._rows.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = capacity
-        while new_capacity < needed:
-            new_capacity *= 2
-        rows = np.empty((new_capacity, self._d), dtype=np.float64)
-        rows[:capacity] = self._rows
-        live = np.zeros(new_capacity, dtype=bool)
-        live[:capacity] = self._live
-        in_sky = np.zeros(new_capacity, dtype=bool)
-        in_sky[:capacity] = self._in_sky
-        mask_arr = np.zeros(new_capacity, dtype=np.int64)
-        mask_arr[:capacity] = self._mask_arr
-        witness = np.full(new_capacity, -1, dtype=np.intp)
-        witness[:capacity] = self._witness
-        self._rows, self._live, self._in_sky, self._mask_arr = (
-            rows,
-            live,
-            in_sky,
-            mask_arr,
-        )
+        """Make room for ids ``[0, needed)`` in the store and id columns."""
+        self._row_store.reserve(needed)
+        if needed > self._live.shape[0]:
+            self._resize_ids(self._row_store.rows.shape[0])
+
+    def _resize_ids(self, capacity: int) -> None:
+        """Resize the per-id columns to ``capacity`` slots, keeping the prefix."""
+        used = min(self._live.shape[0], capacity)
+        live = np.zeros(capacity, dtype=bool)
+        live[:used] = self._live[:used]
+        in_sky = np.zeros(capacity, dtype=bool)
+        in_sky[:used] = self._in_sky[:used]
+        mask_arr = np.zeros(capacity, dtype=np.int64)
+        mask_arr[:used] = self._mask_arr[:used]
+        witness = np.full(capacity, -1, dtype=np.intp)
+        witness[:used] = self._witness[:used]
+        self._live, self._in_sky, self._mask_arr = live, in_sky, mask_arr
         self._witness = witness
+
+    # -- witness -> dependents index -----------------------------------------
+
+    def _witness_of(self, dependent: int, witness: int) -> None:
+        """Record that live point ``witness`` dominates buffered ``dependent``."""
+        self._witness[dependent] = witness
+        self._queued.append((witness, dependent))
+        if len(self._queued) >= _QUEUE_FLUSH:
+            self._flush_queued()
+
+    def _flush_queued(self) -> None:
+        pairs = np.asarray(self._queued, dtype=np.intp)
+        self._queued = []
+        self._add_run(pairs[:, 0], pairs[:, 1])
+
+    def _witness_block(self, dependents: np.ndarray, witness: np.ndarray) -> None:
+        """Vectorised :meth:`_witness_of`; ``-1`` entries mark non-dominated points."""
+        self._witness[dependents] = witness
+        dominated = witness >= 0
+        if dominated.any():
+            self._add_run(witness[dominated], dependents[dominated])
+
+    def _add_run(self, witness: np.ndarray, dependents: np.ndarray) -> None:
+        """Add pairs as a sorted run; merge runs while the newest is not small.
+
+        Merging a run into a neighbour at most twice its size keeps
+        O(log n) runs and charges each pair O(log n) merges over its
+        life; a merge drops the pairs that went stale.
+        """
+        # Ids are stored in 32 bits while they fit, halving the index.
+        dtype = np.int32 if self._next_id < 2**31 else np.intp
+        order = np.argsort(witness, kind="stable")
+        runs = self._dependents
+        runs.append((witness[order].astype(dtype), dependents[order].astype(dtype)))
+        while len(runs) > 1 and runs[-2][0].size <= 2 * runs[-1][0].size:
+            (w_old, d_old), (w_new, d_new) = runs.pop(-2), runs.pop()
+            wits = np.concatenate([w_old, w_new])
+            deps = np.concatenate([d_old, d_new])
+            fresh = (
+                (self._witness[deps] == wits) & self._live[deps] & ~self._in_sky[deps]
+            )
+            wits, deps = wits[fresh], deps[fresh]
+            order = np.argsort(wits, kind="stable")
+            runs.append((wits[order], deps[order]))
+
+    def _orphans(self, ids: np.ndarray) -> np.ndarray:
+        """Sorted buffered ids whose witness is among the sorted ``ids``."""
+        if self._queued:
+            self._flush_queued()
+        found = []
+        for witness, dependents in self._dependents:
+            # In the run's own dtype: a mixed-dtype search converts the run.
+            keys = ids.astype(witness.dtype)
+            lo = np.searchsorted(witness, keys, side="left")
+            hi = np.searchsorted(witness, keys, side="right")
+            lengths = hi - lo
+            total = int(lengths.sum())
+            if total:
+                starts = np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+                found.append(dependents[starts + np.arange(total)])
+        if not found:
+            return np.empty(0, dtype=np.intp)
+        candidates = np.concatenate(found)
+        candidates = candidates[
+            self._live[candidates] & ~self._in_sky[candidates]
+        ]
+        witness = self._witness[candidates]
+        at = np.minimum(np.searchsorted(ids, witness), ids.size - 1)
+        return np.unique(candidates[ids[at] == witness])
 
     def _recompute_masks(self) -> None:
         """Refresh every live mask and rebuild the index for new anchors."""

@@ -104,16 +104,19 @@ class SkylineQuery:
         skyline_dims = self._preference_dims(dataset)
         engine = engine if engine is not None else SkylineEngine()
 
-        keep = np.ones(dataset.cardinality, dtype=bool)
-        for constraint in self._ranges:
-            column = dataset.column_index(constraint.column)
-            values = dataset.values[:, column]
-            if constraint.min_value is not None:
-                keep &= values >= constraint.min_value
-            if constraint.max_value is not None:
-                keep &= values <= constraint.max_value
-        kept_ids = np.nonzero(keep)[0]
-        if kept_ids.size == 0:
+        kept_ids = None  # every row
+        if self._ranges:
+            keep = np.ones(dataset.cardinality, dtype=bool)
+            for constraint in self._ranges:
+                column = dataset.column_index(constraint.column)
+                values = dataset.values[:, column]
+                if constraint.min_value is not None:
+                    keep &= values >= constraint.min_value
+                if constraint.max_value is not None:
+                    keep &= values <= constraint.max_value
+            if not keep.all():
+                kept_ids = np.nonzero(keep)[0]
+        if kept_ids is not None and kept_ids.size == 0:
             return SkylineResult(
                 indices=np.empty(0, dtype=np.intp),
                 algorithm=algorithm or "auto",
@@ -124,11 +127,12 @@ class SkylineQuery:
             )
 
         max_dims = self._max_dims(dataset)
-        if kept_ids.size == dataset.cardinality:
-            # Unfiltered query: execute over the prepared, cached subspace
-            # view so repeated queries share projections, Merge results and
-            # sort orders.  The flip (max(col) - col over all rows) matches
-            # the ephemeral path below exactly.
+        if kept_ids is None:
+            # Every row takes part: execute over the prepared, cached
+            # subspace view so repeated queries share projections, Merge
+            # results and sort orders, and its ids are the input's row ids.
+            # The flip (max(col) - col over all rows) matches the ephemeral
+            # path below exactly.
             target: Dataset | object = engine.prepare(dataset).view(
                 skyline_dims, maximize=sorted(max_dims), counter=counter
             )
@@ -153,7 +157,7 @@ class SkylineQuery:
         )
         return replace(
             local,
-            indices=kept_ids[local.indices],
+            indices=local.indices if kept_ids is None else kept_ids[local.indices],
             cardinality=dataset.cardinality,
         )
 
