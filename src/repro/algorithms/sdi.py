@@ -28,17 +28,16 @@ Batched scan
 ------------
 The scalar scan pays, per testing point, an ``O(k)`` boolean prefix filter
 plus an ``O(k log k)`` sort over its candidate block.  The batched scan
-(default) instead maintains one *sorted view* per ``(subspace, dimension)``
-pair: candidate blocks are stable-prefix (see
-:class:`~repro.core.container.SkylineContainer`), so each view is repaired
-by merging only the newly confirmed rows (a permutation merge over two 1-D
-arrays), and the per-point test collapses to a binary search, a gather of
-the eligible prefix rows, and one ``first_dominator`` kernel call (the
-sorted-block form is :func:`~repro.dominance.first_dominator_prefix`).
-The tested prefix is element-for-element identical to the scalar
-filter-then-stable-sort path, so skyline output and charged dominance
-tests are bit-identical; ``SDI(batched=False)`` keeps the scalar reference
-path for differential tests and benchmarks.
+(default) sorts nothing.  A dominator is at most the testing point in
+every column, so it always lies in the dimension prefix, and the first
+dominator the sorted scan would meet is the ``(value, insertion)``-least
+one.  The charge is its rank in the prefix plus one, or the prefix length
+when nothing dominates.  :func:`~repro.dominance.first_dominator_prefix`
+computes both in one pass over the column-backed candidate block (see
+:class:`~repro.core.container.SkylineContainer`), so skyline output and
+charged dominance tests are bit-identical to the scalar path;
+``SDI(batched=False)`` keeps that path for differential tests and
+benchmarks.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 from repro.algorithms.base import SkylineAlgorithm
 from repro.core.container import ListContainer, SkylineContainer
 from repro.dataset import Dataset
-from repro.dominance import first_dominator
+from repro.dominance import first_dominator, first_dominator_prefix
 from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
 
@@ -59,69 +58,16 @@ __all__ = ["SDI"]
 _UNKNOWN, _SKYLINE, _DOMINATED = 0, 1, 2
 
 
-class _SortedView:
-    """A candidate block's row order sorted by one dimension (ties: insertion).
-
-    Stores the sorted column plus a *permutation* into the base block —
-    never the rows themselves — so repairing after an append moves two 1-D
-    arrays instead of a ``d``-wide block, and the per-point prefix gather
-    only materialises the few rows the kernel actually tests.
-
-    ``extend`` merges the rows appended to the base block since the last
-    repair; because new rows carry strictly larger insertion sequence
-    numbers than every old row, inserting them after their equal-valued
-    predecessors (``side="right"``) preserves the (value, insertion-order)
-    sort exactly as a stable re-sort of the whole block would.
-    """
-
-    __slots__ = ("n", "col", "perm")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.col = np.empty(0, dtype=np.float64)
-        self.perm = np.empty(0, dtype=np.intp)
-
-    def extend(self, base: np.ndarray, dim: int) -> None:
-        total = base.shape[0]
-        new_col = base[self.n : total, dim]
-        order = np.argsort(new_col, kind="stable")
-        new_col = new_col[order]
-        new_perm = order + self.n
-        k = self.col.shape[0]
-        if k == 0:
-            self.col = new_col.copy()
-            self.perm = new_perm
-        else:
-            m = new_col.shape[0]
-            # Scatter-merge: equivalent to np.insert at the searchsorted
-            # positions but without its per-call overhead.  Positions are
-            # non-decreasing (new_col is sorted), so adding arange keeps
-            # equal-valued new rows in insertion order.
-            target = self.col.searchsorted(new_col, side="right")
-            target = target + np.arange(m, dtype=np.intp)
-            col = np.empty(k + m, dtype=np.float64)
-            perm = np.empty(k + m, dtype=np.intp)
-            old = np.ones(k + m, dtype=bool)
-            old[target] = False
-            col[target] = new_col
-            col[old] = self.col
-            perm[target] = new_perm
-            perm[old] = self.perm
-            self.col = col
-            self.perm = perm
-        self.n = total
-
-
 class SDI(SkylineAlgorithm):
     """Sorted-dimension-index skyline with breadth-first dimension traversal.
 
     Parameters
     ----------
     batched:
-        Use incrementally maintained per-``(subspace, dimension)`` sorted
-        views for the prefix test (default).  ``False`` re-filters and
-        re-sorts the candidate block per testing point — the scalar
-        reference path with identical output and test accounting.
+        Run the prefix test as one unsorted pass over the candidate block
+        (default).  ``False`` re-filters and re-sorts the candidate block
+        per testing point — the scalar reference path with identical
+        output and test accounting.
     """
 
     name = "sdi"
@@ -192,9 +138,7 @@ class SDI(SkylineAlgorithm):
         dim_sky_count = [0] * d
         open_dims = set(range(d))
         skyline: list[int] = []
-        views: dict[tuple[int, int], _SortedView] = {}
         batched = self.batched
-        mask_sensitive = container.uses_masks
 
         def select(k: int) -> tuple[int, int]:
             return (dim_sky_count[k], k)
@@ -223,24 +167,14 @@ class SDI(SkylineAlgorithm):
             point = values[point_id]
             mask = masks_list[point_id]
 
-            candidate_ids, block = container.candidates(mask)
+            _, block = container.candidates(mask)
+            bound = point[dim]
             if batched:
-                view_key = (mask if mask_sensitive else 0, dim)
-                view = views.get(view_key)
-                if view is None:
-                    view = _SortedView()
-                    views[view_key] = view
-                if view.n != block.shape[0]:
-                    view.extend(block, dim)
-                bound = point[dim]
-                cut = int(view.col.searchsorted(bound, side="right"))
                 undominated = (
-                    cut == 0
-                    or first_dominator(block[view.perm[:cut]], point, counter)
+                    first_dominator_prefix(block, block[:, dim], bound, point, counter)
                     == -1
                 )
             else:
-                bound = point[dim]
                 if block.shape[0]:
                     prefix = block[:, dim] <= bound
                     block = block[prefix]

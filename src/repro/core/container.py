@@ -13,12 +13,12 @@ interface plus its two implementations:
   subspace, so provably-incomparable skyline points are never tested.
 
 Both return candidates as an ``(ids, values_block)`` pair so hosts can run
-the vectorised exact-count dominance kernel on the block directly.  The
-blocks are *stable-prefix*: between two ``add`` calls the returned block is
-identical, and an ``add`` only ever appends rows — hosts exploit this (via
-:attr:`SkylineContainer.generation`) to maintain incremental per-subspace
-views (e.g. SDI's per-dimension sorted prefixes) without re-deriving them
-from scratch on every testing point.
+the vectorised exact-count dominance kernel on the block directly.  Blocks
+are column-backed: ``block`` is the transpose of a ``(d, capacity)``
+buffer, so the kernel's per-row reductions run over ``d`` contiguous
+columns.  The blocks are also *stable-prefix*: between two ``add`` calls
+the returned block is identical, and an ``add`` only ever appends rows, so
+a block handed out earlier never changes.
 """
 
 from __future__ import annotations
@@ -32,22 +32,23 @@ from repro.stats.counters import DominanceCounter
 
 
 class _GrowingBlock:
-    """An append-only ``(k, d)`` float buffer with amortised doubling."""
+    """An append-only ``(k, d)`` float block over a column-major buffer
+    with amortised doubling."""
 
     def __init__(self, d: int) -> None:
-        self._data = np.empty((64, d), dtype=np.float64)
+        self._cols = np.empty((d, 64), dtype=np.float64)
         self._len = 0
 
     def append(self, row: np.ndarray) -> None:
-        if self._len == self._data.shape[0]:
-            grown = np.empty((self._data.shape[0] * 2, self._data.shape[1]))
-            grown[: self._len] = self._data[: self._len]
-            self._data = grown
-        self._data[self._len] = row
+        if self._len == self._cols.shape[1]:
+            grown = np.empty((self._cols.shape[0], self._cols.shape[1] * 2))
+            grown[:, : self._len] = self._cols[:, : self._len]
+            self._cols = grown
+        self._cols[:, self._len] = row
         self._len += 1
 
     def view(self) -> np.ndarray:
-        return self._data[: self._len]
+        return self._cols[:, : self._len].T
 
 
 class SkylineContainer(ABC):
@@ -76,21 +77,6 @@ class SkylineContainer(ABC):
     def __len__(self) -> int:
         """Number of stored points."""
 
-    #: Whether :meth:`candidates` actually varies with ``mask``.  Hosts use
-    #: this to key derived per-mask views: a mask-insensitive store (the
-    #: plain list) needs only one view per dimension, not one per subspace.
-    uses_masks: bool = True
-
-    @property
-    def generation(self) -> int:
-        """Monotone change counter; advances at least once per ``add``.
-
-        Hosts key incremental candidate views on this: a block returned by
-        :meth:`candidates` stays a prefix of any later block for the same
-        mask while the container only grows (no removals).
-        """
-        return len(self)
-
 
 class ListContainer(SkylineContainer):
     """Insertion-ordered list store; every stored point is always a candidate.
@@ -98,8 +84,6 @@ class ListContainer(SkylineContainer):
     This is what plain SFS/SaLSa/LESS use: testing in insertion order means
     low-score (highly dominating) points are compared first.
     """
-
-    uses_masks = False
 
     def __init__(self, values: np.ndarray) -> None:
         self._values = values
@@ -159,20 +143,18 @@ class SubsetContainer(SkylineContainer):
     ) -> None:
         self._index = SkylineIndex(d, memoize=memoize, values=values)
         self._counter = counter
-        self._all_ids: list[int] = []
+        # Insertion-ordered, so ``ids()`` keeps the add order and
+        # ``remove`` is O(1).
+        self._all_ids: dict[int, None] = {}
 
     @property
     def index(self) -> SkylineIndex:
         """The underlying subset index (exposed for diagnostics)."""
         return self._index
 
-    @property
-    def generation(self) -> int:
-        return self._index.generation
-
     def add(self, point_id: int, mask: int) -> None:
         self._index.put(point_id, mask)
-        self._all_ids.append(point_id)
+        self._all_ids[point_id] = None
 
     def remove(self, point_id: int, mask: int) -> None:
         """Remove a point previously :meth:`add`-ed under ``mask``.
@@ -182,7 +164,7 @@ class SubsetContainer(SkylineContainer):
         stable-prefix contract.
         """
         self._index.remove(point_id, mask)
-        self._all_ids.remove(point_id)
+        del self._all_ids[point_id]
 
     def clear(self) -> None:
         """Drop every stored point and all cached per-mask views."""

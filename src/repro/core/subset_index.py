@@ -43,9 +43,9 @@ dominance test charged downstream is identical; only
 
 Built with the dataset's value matrix, the index also *fuses* the
 candidate-row gather into the cache (:meth:`SkylineIndex.candidates`):
-each memoized entry carries the gathered rows beside its ids, repaired
-together from the put-log suffix, so a boosted scan's testing point costs
-one dict probe for both.
+each memoized entry carries the gathered rows beside its ids, stored
+column-major and repaired together from the put-log suffix, so a boosted
+scan's testing point costs one dict probe for both.
 """
 
 from __future__ import annotations
@@ -86,14 +86,15 @@ class _CacheEntry:
 
     The id set is append-only within an epoch and lives in an
     amortised-doubling ``intp`` buffer; ``log_pos`` marks how much of the
-    index's put-log it has incorporated.  With a value matrix, ``rows``
-    holds the gathered candidate rows in lockstep with the ids.  Callers
-    receive views of the buffer prefixes — appends only ever touch
-    positions beyond every view handed out so far, and growth moves to a
-    fresh buffer.
+    index's put-log it has incorporated.  With a value matrix, ``cols``
+    holds the gathered candidate rows column-major, ``(d, capacity)``, in
+    lockstep with the ids: a dominance test then reduces over ``d``
+    contiguous columns.  Callers receive views of the buffer prefixes —
+    appends only ever touch positions beyond every view handed out so far,
+    and growth moves to a fresh buffer.
     """
 
-    __slots__ = ("epoch", "log_pos", "buf", "rows", "size")
+    __slots__ = ("epoch", "log_pos", "buf", "cols", "size")
 
     def __init__(
         self, epoch: int, log_pos: int, ids: list[int], values: np.ndarray | None
@@ -104,10 +105,10 @@ class _CacheEntry:
         self.size = arr.shape[0]
         self.buf = np.empty(max(4, self.size), dtype=np.intp)
         self.buf[: self.size] = arr
-        self.rows: np.ndarray | None = None
+        self.cols: np.ndarray | None = None
         if values is not None:
-            self.rows = np.empty((self.buf.shape[0], values.shape[1]))
-            self.rows[: self.size] = values[arr]
+            self.cols = np.empty((values.shape[1], self.buf.shape[0]))
+            self.cols[:, : self.size] = values[arr].T
 
     def extend(self, new_ids: np.ndarray, values: np.ndarray | None) -> None:
         grown = self.size + new_ids.shape[0]
@@ -116,13 +117,13 @@ class _CacheEntry:
             buf = np.empty(capacity, dtype=np.intp)
             buf[: self.size] = self.buf[: self.size]
             self.buf = buf
-            if self.rows is not None:
-                rows = np.empty((capacity, self.rows.shape[1]))
-                rows[: self.size] = self.rows[: self.size]
-                self.rows = rows
+            if self.cols is not None:
+                cols = np.empty((self.cols.shape[0], capacity))
+                cols[:, : self.size] = self.cols[:, : self.size]
+                self.cols = cols
         self.buf[self.size : grown] = new_ids
-        if self.rows is not None:
-            self.rows[self.size : grown] = values[new_ids]  # type: ignore[index]
+        if self.cols is not None:
+            self.cols[:, self.size : grown] = values[new_ids].T  # type: ignore[index]
         self.size = grown
 
     def ids_list(self) -> list[int]:
@@ -267,8 +268,9 @@ class SkylineIndex:
 
         ``ids`` is :meth:`query`'s result as a read-only ``intp`` array and
         ``rows[k]`` is ``values[ids[k]]``; accounting is identical.  The
-        memoized path serves both from one cache probe.  Requires an index
-        built with ``values``.
+        memoized path serves both from one cache probe, ``rows`` as the
+        transpose of a column-major buffer.  Requires an index built with
+        ``values``.
         """
         if self._values is None:
             raise InvalidParameterError(
@@ -299,7 +301,7 @@ class SkylineIndex:
             ids.flags.writeable = False
             return ids, self._values[ids]  # type: ignore[index]
         entry = self._entry(subspace, counter)
-        return entry.array(), entry.rows[: entry.size]  # type: ignore[index]
+        return entry.array(), entry.cols[:, : entry.size].T  # type: ignore[index]
 
     def _traced(
         self,

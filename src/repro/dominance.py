@@ -14,6 +14,8 @@ vectorised caller is built on (see the "Dominance kernels" section of
 - :func:`dominance_matrix` — every row of one block against every row of
   another, with no accounting: each caller charges its own rule.
 
+:func:`first_dominator_prefix` is SDI's form of the first: the same
+charge over a sorted column prefix, found in one unsorted pass.
 :func:`sum_order` is the scan order presorted callers share: every
 dominator precedes the points it dominates, even when float sums tie.
 """
@@ -217,20 +219,36 @@ def first_dominator_prefix(
     q: np.ndarray,
     counter: DominanceCounter | None = None,
 ) -> int:
-    """:func:`first_dominator` over the rows of ``block`` with ``col <= bound``.
+    """:func:`first_dominator` over the rows with ``col <= bound``, in ``col`` order.
 
-    ``block`` must be sorted ascending by ``col`` (ties broken by insertion
-    order), with ``col`` its sort-key column.  Because the key is sorted,
-    the qualifying rows are exactly the prefix up to
-    ``searchsorted(col, bound, side="right")`` — identical, element for
-    element, to stably sorting the boolean-filtered subset, so the charged
-    test count matches the scalar filter-then-sort path bit for bit.
+    The reference is SDI's dimension-prefix scan: stably sort the rows of
+    ``block`` with ``col <= bound`` by ``col``, then scan them with early
+    exit.  Nothing is sorted here.  The first dominator in that order is
+    the ``(col, row index)``-least eligible one, and the scan's charge is
+    its rank among the eligible rows plus one, or the number of eligible
+    rows when nothing dominates; one pass over ``block`` gives both.
+    Returns the dominator's row index in ``block``, or ``-1``.  A block
+    already sorted by ``col`` (ties in row order) is the special case
+    where that index is also the rank.
 
-    This is SDI's dimension-skyline prefix test reduced from an ``O(k)``
-    boolean filter plus an ``O(k log k)`` sort per testing point to one
-    ``O(log k)`` binary search over an incrementally maintained view.
+    With ``col = block[:, dim]`` and ``bound = q[dim]`` the filter never
+    drops a dominator, which is at most ``q`` in every column; it only
+    sizes the charge when nothing dominates.
     """
-    k = int(np.searchsorted(col, bound, side="right"))
-    if k == 0:
+    block = np.asarray(block)
+    col = np.asarray(col)
+    eligible = col <= bound
+    weak = ((block <= q).all(axis=1) & eligible).nonzero()[0]
+    if weak.shape[0]:
+        weak = weak[(block[weak] != q).any(axis=1)]
+    if weak.shape[0] == 0:
+        if counter is not None:
+            counter.add(int(np.count_nonzero(eligible)))
         return -1
-    return first_dominator(block[:k], q, counter)
+    # argmin takes the first of equal values: the lowest row index.
+    idx = int(weak[int(col[weak].argmin())])
+    value = col[idx]
+    if counter is not None:
+        ahead = np.count_nonzero(col < value) + np.count_nonzero(col[:idx] == value)
+        counter.add(int(ahead) + 1)
+    return idx

@@ -48,10 +48,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.merge import MergeResult
-from repro.dominance import dominance_matrix, dominating_subspaces
+from repro.dominance import dominance_matrix
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.stats.counters import DominanceCounter
-from repro.structures import bitset
 
 __all__ = [
     "DeltaReport",
@@ -253,21 +252,22 @@ def repair_merge_result(
     """
     if not set(result.pivot_ids).isdisjoint(deletes.tolist()):
         return None  # a pivot left the dataset; pruning evidence is gone
-    pivots = np.asarray(result.pivot_ids, dtype=np.intp)
+    pivot_rows = rows[np.asarray(result.pivot_ids, dtype=np.intp)]
     k = int(inserts.shape[0])
-    survivors = np.ones(k, dtype=bool)
-    duplicate_inserts = np.zeros(k, dtype=bool)
-    insert_masks = np.zeros(k, dtype=np.int64)
-    pivots_dominated = dominance_matrix(rows[pivots], inserts).any(axis=1)
-    for pivot_id, dominated in zip(pivots.tolist(), pivots_dominated.tolist()):
-        pivot_row = rows[pivot_id]
-        subs = dominating_subspaces(inserts, pivot_row, counter)
-        if dominated:
-            return None  # an insert dominates this pivot
-        equal = np.all(inserts == pivot_row, axis=1)
-        duplicate_inserts |= equal
-        survivors &= ~((subs == 0) | equal)
-        insert_masks = bitset.union(insert_masks, subs)
+    # Every (insert, pivot) pair at once, charged as the Merge loop would
+    # pay pivot by pivot: k tests per pivot, stopping after the first
+    # pivot an insert dominates.
+    dominated = dominance_matrix(pivot_rows, inserts).any(axis=1)
+    if dominated.any():
+        counter.add((int(dominated.argmax()) + 1) * k)
+        return None  # an insert dominates this pivot
+    counter.add(pivot_rows.shape[0] * k)
+    weights = np.left_shift(np.int64(1), np.arange(rows.shape[1], dtype=np.int64))
+    ahead = inserts[:, None, :] < pivot_rows  # (insert, pivot, column)
+    subs = ahead.astype(np.int64) @ weights  # D_{insert<pivot}
+    duplicate_inserts = (inserts[:, None, :] == pivot_rows).all(axis=2).any(axis=1)
+    survivors = (subs != 0).all(axis=1)  # an equal pair has an empty D too
+    insert_masks = np.bitwise_or.reduce(subs, axis=1)
 
     remaining = np.concatenate(
         [result.remaining_ids, first_new + np.flatnonzero(survivors)]

@@ -1,9 +1,9 @@
 """Batched scan phase vs the scalar reference path: bit-identical results.
 
-The vectorised candidate gathering (contiguous blocks in the container,
-sorted views in SDI, memoized index queries) is a pure execution-strategy
-change — skylines *and* charged dominance-test counts must match the
-scalar path exactly on every distribution.
+The vectorised candidate gathering (column-backed blocks in the container,
+SDI's unsorted prefix test, memoized index queries) is a pure
+execution-strategy change — skylines *and* charged dominance-test counts
+must match the scalar path exactly on every distribution.
 """
 
 import numpy as np
@@ -19,6 +19,8 @@ from repro.core.boost import SubsetBoost
 from repro.data import generate
 from repro.dominance import first_dominator, first_dominator_prefix
 from repro.stats.counters import DominanceCounter
+from tests.conftest import brute_skyline_ids
+from tests.test_dominance import _TIE_LEVELS
 
 KINDS = ("UI", "CO", "AC")
 
@@ -60,6 +62,38 @@ class TestBatchedEqualsScalar:
         assert batched == scalar
 
 
+#: Integer levels: every float sum is exact, so ids are checkable against
+#: brute force.  On ``_TIE_LEVELS`` SDI's sum tiebreak can still misorder a
+#: dominator and its victim, so there only the two paths are compared.
+_INTEGER_LEVELS = st.sampled_from((0.0, 1.0, 2.0, 3.0))
+
+
+def _level_arrays(levels):
+    return st.integers(1, 4).flatmap(
+        lambda d: hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 40), st.just(d)), elements=levels
+        )
+    )
+
+
+class TestSDIOnTies:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((_TIE_LEVELS, _INTEGER_LEVELS)).flatmap(_level_arrays))
+    def test_batched_equals_scalar(self, values):
+        pairs = (
+            (SDI(batched=True), SDI(batched=False)),  # the ListContainer path
+            (
+                SubsetBoost(SDI(batched=True), memoize=True),
+                SubsetBoost(SDI(batched=False), memoize=False),
+            ),
+        )
+        for batched_host, scalar_host in pairs:
+            batched = _run(batched_host, values)
+            assert batched == _run(scalar_host, values)
+            if set(np.unique(values).tolist()) <= {0.0, 1.0, 2.0, 3.0}:
+                assert sorted(batched[0]) == brute_skyline_ids(values)
+
+
 class TestFirstDominatorPrefix:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -73,7 +107,7 @@ class TestFirstDominatorPrefix:
     )
     def test_matches_filter_then_scan(self, block, dim, bound_q):
         dim = dim % block.shape[1]
-        # The kernel's contract: rows sorted ascending by ``col``.
+        # Sorted input, the special case: rows ascending by ``col``.
         order = np.argsort(block[:, dim], kind="stable")
         block = block[order]
         col = block[:, dim]

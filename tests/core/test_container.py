@@ -82,3 +82,39 @@ class TestSubsetContainer:
         c = SubsetContainer(values, d=4)
         c.add(1, 0b0001)
         assert len(c.index) == 1
+
+    def test_ids_keep_insertion_order_across_removals(self, values):
+        c = SubsetContainer(values, d=4)
+        for pid, mask in ((9, 0b0001), (2, 0b0011), (5, 0b0101), (7, 0b1111)):
+            c.add(pid, mask)
+        c.remove(2, 0b0011)
+        c.add(2, 0b0010)
+        c.remove(9, 0b0001)
+        c.add(9, 0b0001)
+        c.remove(5, 0b0101)
+        assert c.ids() == [7, 2, 9]
+        assert len(c) == 3
+
+
+#: Stored masks cycle through these; candidates(0b0001) keeps the first three.
+_MASKS = (0b0001, 0b0011, 0b1111, 0b0010)
+
+
+@pytest.mark.parametrize("make", [ListContainer, lambda v: SubsetContainer(v, d=4)])
+def test_blocks_are_column_backed_and_never_change(make):
+    values = np.random.default_rng(1).random((300, 4))
+    c = make(values)
+    handed_out = []
+    for pid in range(300):
+        c.add(pid, _MASKS[pid % 4])
+        if pid in (0, 3, 40, 150):  # before and after buffer growth
+            ids, block = c.candidates(0b0001)
+            # Column-backed: the transpose of a (d, capacity) buffer, so
+            # each column is one contiguous run (the whole transpose is
+            # C-contiguous only when the buffer is full).
+            assert block.strides[0] == block.itemsize
+            assert block.base.flags.c_contiguous and block.base.shape[0] == 4
+            assert np.array_equal(block, values[ids])
+            handed_out.append((block, block.copy()))
+    for block, snapshot in handed_out:
+        assert np.array_equal(block, snapshot)

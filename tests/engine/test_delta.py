@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_algorithm
+from repro.core.merge import MergeResult
 from repro.dataset import Dataset
+from repro.dominance import dominates, dominating_subspaces
 from repro.engine import ExecutionContext, Planner, SkylineEngine
-from repro.engine.delta import remap_ids
+from repro.engine.delta import remap_ids, repair_merge_result
 from repro.engine.prepared import PreparedDataset
 from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
@@ -98,6 +100,62 @@ def _assert_exact_extrema(prepared):
     minima, maxima = prepared.extrema()
     assert np.array_equal(minima, prepared.values.min(axis=0))
     assert np.array_equal(maxima, prepared.values.max(axis=0))
+
+
+def _classify_pivot_by_pivot(pivots, rows, inserts, first_new, counter):
+    """The per-pivot loop: ``(remaining, masks, duplicates)`` of the
+    inserts, or ``None`` once an insert dominates a pivot."""
+    k = inserts.shape[0]
+    survivors = np.ones(k, dtype=bool)
+    duplicates = np.zeros(k, dtype=bool)
+    masks = np.zeros(k, dtype=np.int64)
+    for pivot_id in pivots:
+        pivot_row = rows[pivot_id]
+        subs = dominating_subspaces(inserts, pivot_row, counter)
+        if any(dominates(row, pivot_row) for row in inserts):
+            return None
+        equal = (inserts == pivot_row).all(axis=1)
+        duplicates |= equal
+        survivors &= ~((subs == 0) | equal)
+        masks |= subs
+    new = first_new + np.arange(k)
+    return new[survivors].tolist(), masks[survivors].tolist(), new[duplicates].tolist()
+
+
+class TestRepairMergeResult:
+    """One broadcast over every pivot classifies and charges like the loop."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_pivot_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        base = rng.integers(0, 4, size=(12, d)).astype(float)
+        inserts = rng.integers(0, 5, size=(int(rng.integers(0, 6)), d)).astype(float)
+        rows = np.vstack([base, inserts])
+        pivots = rng.choice(12, size=int(rng.integers(0, 5)), replace=False).tolist()
+        result = MergeResult(
+            pivot_ids=pivots,
+            duplicate_skyline_ids=[],
+            remaining_ids=np.empty(0, dtype=np.intp),
+            masks=np.empty(0, dtype=np.int64),
+            iterations=len(pivots),
+            final_stability=0,
+            exhausted=False,
+        )
+        loop_counter, counter = DominanceCounter(), DominanceCounter()
+        expected = _classify_pivot_by_pivot(pivots, rows, inserts, 12, loop_counter)
+        got = repair_merge_result(
+            result, rows, inserts, np.empty(0, dtype=np.intp), 12, len(rows), counter
+        )
+        assert counter.tests == loop_counter.tests
+        if expected is None:
+            assert got is None
+        else:
+            assert (
+                got.remaining_ids.tolist(),
+                got.masks.tolist(),
+                got.duplicate_skyline_ids,
+            ) == expected
 
 
 class TestColumnExtrema:

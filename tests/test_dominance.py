@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +13,7 @@ from repro.dominance import (
     dominating_subspace,
     dominating_subspaces,
     first_dominator,
+    first_dominator_prefix,
     incomparable,
     sum_order,
     weakly_dominates,
@@ -173,6 +174,48 @@ def test_sum_order_puts_every_dominator_first(rows):
     sums = rows.sum(axis=1)
     if np.unique(sums).size == sums.size:  # tie-free: the plain stable sort
         assert sum_order(rows).tolist() == np.argsort(sums, kind="stable").tolist()
+
+
+#: Half-precision values: coarse, so equal coordinates recur.
+_HALF = st.floats(0, 1, allow_nan=False, width=16)
+
+
+def _sort_then_scan(block, col, bound, q):
+    """Stable-sort the rows with ``col <= bound`` by ``col``, then scan:
+    the dominating row's index in ``block`` and the charged tests."""
+    eligible = np.flatnonzero(col <= bound)
+    order = eligible[np.argsort(col[eligible], kind="stable")]
+    counter = DominanceCounter()
+    hit = first_dominator(block[order], q, counter)
+    return (int(order[hit]) if hit != -1 else -1), counter.tests
+
+
+@st.composite
+def _prefix_cases(draw):
+    """An unsorted block with duplicate rows (possibly empty), a testing
+    point (often a copy of a row), a column and a bound at, below or
+    above the testing point's coordinate."""
+    level = draw(st.sampled_from((_TIE_LEVELS, _HALF)))
+    d = draw(st.integers(1, 3))
+    row = st.lists(level, min_size=d, max_size=d)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+    block = np.array([pool[i] for i in picks], dtype=np.float64).reshape(len(picks), d)
+    q = np.array(draw(st.one_of(st.sampled_from(pool), row)), dtype=np.float64)
+    dim = draw(st.integers(0, d - 1))
+    bound = draw(st.one_of(st.just(float(q[dim])), level))
+    return block, dim, bound, q
+
+
+@settings(max_examples=300)
+@given(_prefix_cases())
+def test_first_dominator_prefix_matches_sort_then_scan(case):
+    block, dim, bound, q = case
+    expected = _sort_then_scan(block, block[:, dim], bound, q)
+    for layout in (block, np.asfortranarray(block)):
+        counter = DominanceCounter()
+        got = first_dominator_prefix(layout, layout[:, dim], bound, q, counter)
+        assert (got, counter.tests) == expected
 
 
 @given(
