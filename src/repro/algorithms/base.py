@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.container import ListContainer, SkylineContainer
+from repro.core.container import ListContainer, SkylineContainer, presorted_scan
 from repro.dataset import Dataset, as_dataset
-from repro.dominance import first_dominator
+from repro.dominance import first_dominator, scan_order
 from repro.obs.clock import timed
 from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
@@ -156,14 +156,7 @@ def _progressive_scan(
     counter = counter if counter is not None else DominanceCounter()
     ids = np.arange(dataset.cardinality, dtype=np.intp)
     order = algorithm.sort_ids(dataset.values, ids)
-    container = ListContainer(dataset.values)
-    values = dataset.values
-    for point_id in order:
-        point_id = int(point_id)
-        _, block = container.candidates(0)
-        if first_dominator(block, values[point_id], counter) == -1:
-            container.add(point_id, 0)
-            yield point_id
+    yield from presorted_scan(dataset.values, order, counter)
 
 
 class _ProgressiveMixin:
@@ -216,17 +209,15 @@ class SortScanAlgorithm(SkylineAlgorithm, _ProgressiveMixin):
     def sort_ids(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Return ``ids`` reordered by the algorithm's monotone sort key."""
 
-    def sort_keyer(
-        self,
-    ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None:
+    def sort_keyer(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
         """Optional key decomposition of :meth:`sort_ids`.
 
-        When a host can express its order as ``ids[lexsort((ties, keys))]``
-        it may return a callable producing ``(keys, ties)`` aligned with
-        ``ids``; ``cached_sort_order`` then caches the key arrays alongside
-        the order, which is what makes the lazy delta repair possible —
-        after a mutation only the appended rows need fresh keys.  ``None``
-        (the default) keeps the opaque ``sort_ids`` path.
+        When a host's order is ``ids[scan_order(values[ids], keys)]`` it may
+        return a callable producing those ``keys``, aligned with ``ids``;
+        ``cached_sort_order`` then caches the key array alongside the
+        order, which is what makes the lazy delta repair possible — after a
+        mutation only the appended rows need fresh keys.  ``None`` (the
+        default) keeps the opaque ``sort_ids`` path.
         """
         return None
 
@@ -266,19 +257,12 @@ class SortScanAlgorithm(SkylineAlgorithm, _ProgressiveMixin):
         return skyline
 
 
-def monotone_order(keys: np.ndarray, tiebreak: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Order ``ids`` by ``(keys, tiebreak)`` ascending via a stable lexsort."""
-    selection = np.lexsort((tiebreak[ids], keys[ids]))
-    return ids[selection]
-
-
 def cached_sort_order(
     sort_cache: MutableMapping[str, object] | None,
     sorter: Callable[[np.ndarray, np.ndarray], np.ndarray],
     values: np.ndarray,
     ids: np.ndarray,
-    keyer: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    | None = None,
+    keyer: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Fetch the scan order from ``sort_cache`` or compute and store it.
 
@@ -288,14 +272,15 @@ def cached_sort_order(
     caching and always sorts.
 
     ``keyer`` (see :meth:`SortScanAlgorithm.sort_keyer`) decomposes the
-    order into ``ids[lexsort((ties, keys))]``; the key arrays are cached
-    alongside the order.  When the owner tagged the entry with a
+    order into ``ids[scan_order(values[ids], keys)]``; the key array is
+    cached alongside the order.  When the owner tagged the entry with a
     ``pending_delta`` (:meth:`PreparedDataset.apply_delta`), the cached
     order is suffix-repaired here instead of recomputed: deleted ids drop
     out, survivors remap, keys are computed only for the appended rows,
-    and one lexsort over the merged key arrays reproduces the cold order
-    bit for bit (the tag is only written when the dataset's minimum corner
-    — the keys' reference point — is unchanged).
+    and one :func:`~repro.dominance.scan_order` over the merged keys
+    reproduces the cold order bit for bit (the tag is only written when
+    the dataset's minimum corner — the keys' reference point — is
+    unchanged).
     """
     if sort_cache is not None:
         pending = sort_cache.pop("pending_delta", None)
@@ -309,48 +294,46 @@ def cached_sort_order(
                 )
                 if repaired is not None:
                     return repaired
-            # Unrepairable (no key arrays, or the id set diverged from the
+            # Unrepairable (no key array, or the id set diverged from the
             # logged delta): drop the stale state and sort cold.
             sort_cache.pop("order", None)
             sort_cache.pop("keys", None)
-            sort_cache.pop("ties", None)
     with current_tracer().span(
         "sort", points=int(ids.shape[0]), cache_attached=sort_cache is not None
     ):
         if keyer is not None:
-            keys, ties = keyer(values, ids)
-            order = ids[np.lexsort((ties, keys))]
+            keys = keyer(values, ids)
+            order = ids[scan_order(values[ids], keys)]
         else:
-            keys = ties = None
+            keys = None
             order = sorter(values, ids)
     if sort_cache is not None:
         sort_cache["order"] = order
         if keys is not None:
             sort_cache["keys"] = keys
-            sort_cache["ties"] = ties
     return order
 
 
 def _repair_cached_order(
     sort_cache: MutableMapping[str, object],
     pending: object,
-    keyer: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    keyer: Callable[[np.ndarray, np.ndarray], np.ndarray],
     values: np.ndarray,
     ids: np.ndarray,
 ) -> np.ndarray | None:
     """Suffix-repair a keyed sort-cache entry; ``None`` falls back cold.
 
     ``pending`` is the ``(deleted_old_ids, first_new_id)`` tag written by
-    ``PreparedDataset.apply_delta``.  The cached ``keys``/``ties`` arrays
-    are aligned with the ascending id set the order was computed over, so
-    the repair filters + remaps them, keys only the fresh tail ids, and
-    re-lexsorts — identical output to a cold sort because kept rows keep
-    their coordinates and the corner is unchanged.
+    ``PreparedDataset.apply_delta``.  The cached ``keys`` array is aligned
+    with the ascending id set the order was computed over, so the repair
+    filters + remaps it, keys only the fresh tail ids, and re-sorts with
+    :func:`~repro.dominance.scan_order` over ``values[ids]`` — identical
+    output to a cold sort because kept rows keep their coordinates and the
+    corner is unchanged.
     """
     deleted, first_new_id = pending  # type: ignore[misc]
     order = sort_cache["order"]
     keys = sort_cache["keys"]
-    ties = sort_cache["ties"]
     old_ids = np.sort(order)  # type: ignore[arg-type]
     if keys.shape[0] != old_ids.shape[0]:  # type: ignore[union-attr]
         return None
@@ -361,14 +344,11 @@ def _repair_cached_order(
     if expected.shape[0] != ids.shape[0] or not np.array_equal(expected, ids):
         return None
     if fresh.size:
-        fresh_keys, fresh_ties = keyer(values, fresh)
+        fresh_keys = keyer(values, fresh)
     else:
         fresh_keys = np.empty(0, dtype=np.asarray(keys).dtype)
-        fresh_ties = np.empty(0, dtype=np.asarray(ties).dtype)
     all_keys = np.concatenate([np.asarray(keys)[kept], fresh_keys])
-    all_ties = np.concatenate([np.asarray(ties)[kept], fresh_ties])
-    repaired = ids[np.lexsort((all_ties, all_keys))]
+    repaired = ids[scan_order(values[ids], all_keys)]
     sort_cache["order"] = repaired
     sort_cache["keys"] = all_keys
-    sort_cache["ties"] = all_ties
     return repaired

@@ -11,6 +11,14 @@ check against the current skyline settles each entry:
 - a point entry is a skyline point exactly when nothing confirmed
   dominates it.
 
+The tree and every dominance test use the raw coordinates.  Only the
+priority is measured from the dataset's minimum corner, ``Σ(low − corner)``,
+so it is well defined for any real data; like every float key it is only
+weakly monotone (the subtraction can round a sub-ulp difference away), so
+ties pop in :func:`~repro.dominance.scan_order`'s fashion, by the raw
+coordinates of the lower corner: a dominator, or a node that holds one,
+is lexicographically smaller than its victim.
+
 Dominance checks against MBR corners are charged as dominance tests (they
 are point-pair comparisons against a virtual point), matching how the BBS
 paper accounts its "dominance examinations".
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -51,35 +60,34 @@ class BBS(SkylineAlgorithm):
 
     def _run(self, dataset: Dataset, counter: DominanceCounter) -> list[int]:
         values = dataset.values
-        # Shift so mindist-to-origin ordering is monotone for any real data.
-        shifted = values - values.min(axis=0)
-        tree = RTree(shifted, max_entries=self.max_entries)
+        tree = RTree(values, max_entries=self.max_entries)
+        corner = values.min(axis=0).tolist()
+        # The sequence number only keeps entries with equal corners from
+        # comparing the entries themselves.
+        sequence = itertools.count()
+
+        def heap_entry(low: Sequence[float], item: object) -> tuple:
+            mindist = sum(lo - c for lo, c in zip(low, corner))
+            return (mindist, *low, next(sequence), item)
 
         skyline: list[int] = []
-        sky_block = shifted[:0]
-        tiebreak = itertools.count()
-        heap: list[tuple[float, int, object]] = [
-            (tree.root.rect.mindist(), next(tiebreak), tree.root)
-        ]
+        sky_block = values[:0]
+        heap = [heap_entry(tree.root.rect.low, tree.root)]
         while heap:
-            _, _, entry = heapq.heappop(heap)
+            entry = heapq.heappop(heap)[-1]
             if isinstance(entry, tuple):
                 point_id, coords = entry
                 if first_dominator(sky_block, np.asarray(coords), counter) == -1:
                     skyline.append(int(point_id))
-                    sky_block = shifted[np.asarray(skyline, dtype=np.intp)]
+                    sky_block = values[np.asarray(skyline, dtype=np.intp)]
                 continue
             node = entry
-            corner = np.asarray(node.rect.low)
-            if first_dominator(sky_block, corner, counter) != -1:
+            if first_dominator(sky_block, np.asarray(node.rect.low), counter) != -1:
                 continue  # the whole subtree is dominated
             if node.is_leaf:
                 for point_id, coords in node.entries:
-                    point_mindist = float(sum(coords))
-                    heapq.heappush(heap, (point_mindist, next(tiebreak), (point_id, coords)))
+                    heapq.heappush(heap, heap_entry(coords, (point_id, coords)))
             else:
                 for child in node.children:
-                    heapq.heappush(
-                        heap, (child.rect.mindist(), next(tiebreak), child)
-                    )
+                    heapq.heappush(heap, heap_entry(child.rect.low, child))
         return skyline

@@ -30,8 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import SkylineAlgorithm
+from repro.core.container import presorted_scan
 from repro.dataset import Dataset
-from repro.dominance import dominating_subspaces, first_dominator
+from repro.dominance import dominating_subspaces, first_dominator, scan_order
 from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
@@ -45,16 +46,8 @@ def _select_pivot(
     values: np.ndarray, ids: np.ndarray, counter: DominanceCounter
 ) -> int:
     """Balanced pivot: the most diagonal point of a sample-prefix skyline."""
-    sums = values[ids].sum(axis=1)
-    ordered = ids[np.argsort(sums, kind="stable")]
-    sample = ordered[: min(ordered.shape[0], _SAMPLE_CAP)]
-    sample_sky: list[int] = []
-    block = values[:0]
-    for point_id in sample:
-        point_id = int(point_id)
-        if first_dominator(block, values[point_id], counter) == -1:
-            sample_sky.append(point_id)
-            block = values[np.asarray(sample_sky, dtype=np.intp)]
+    sample = ids[scan_order(values[ids])][:_SAMPLE_CAP]
+    sample_sky = list(presorted_scan(values, sample, counter))
     lo = values[ids].min(axis=0)
     hi = values[ids].max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
@@ -79,7 +72,7 @@ class BSkyTreeS(SkylineAlgorithm):
         keep = (~empty) | equal_pivot
 
         order = ids[keep]
-        order = order[np.argsort(values[order].sum(axis=1), kind="stable")]
+        order = order[scan_order(values[order])]
 
         sky_ids: list[int] = []
         sky_masks = np.empty(0, dtype=np.int64)
@@ -119,7 +112,7 @@ class BSkyTreeP(SkylineAlgorithm):  # noqa: RPR003 — S/P are two variants of o
         self, values: np.ndarray, ids: np.ndarray, counter: DominanceCounter
     ) -> list[int]:
         if ids.shape[0] <= self.leaf_size:
-            return self._scan(values, ids, counter)
+            return list(presorted_scan(values, ids[scan_order(values[ids])], counter))
         pivot = _select_pivot(values, ids, counter)
         masks = dominating_subspaces(values[ids], values[pivot], counter)
 
@@ -153,17 +146,4 @@ class BSkyTreeP(SkylineAlgorithm):  # noqa: RPR003 — S/P are two variants of o
             block = values[np.asarray(skyline, dtype=np.intp)]
             if first_dominator(block, values[pivot], counter) == -1:
                 skyline.extend(int(i) for i in pivot_group)
-        return skyline
-
-    def _scan(
-        self, values: np.ndarray, ids: np.ndarray, counter: DominanceCounter
-    ) -> list[int]:
-        order = ids[np.argsort(values[ids].sum(axis=1), kind="stable")]
-        skyline: list[int] = []
-        block = values[:0]
-        for point_id in order:
-            point_id = int(point_id)
-            if first_dominator(block, values[point_id], counter) == -1:
-                skyline.append(point_id)
-                block = values[np.asarray(skyline, dtype=np.intp)]
         return skyline

@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import SkylineAlgorithm
+from repro.core.container import presorted_scan
 from repro.dataset import Dataset
-from repro.dominance import first_dominator
+from repro.dominance import first_dominator, scan_order
 from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 
@@ -52,7 +53,7 @@ class DivideAndConquer(SkylineAlgorithm):
         counter: DominanceCounter,
     ) -> list[int]:
         if ids.shape[0] <= self.leaf_size:
-            return self._scan(values, ids, counter)
+            return list(presorted_scan(values, ids[scan_order(values[ids])], counter))
         d = values.shape[1]
         for probe in range(d):
             dim = (depth + probe) % d
@@ -75,17 +76,3 @@ class DivideAndConquer(SkylineAlgorithm):
             if first_dominator(low_block, values[point_id], counter) == -1:
                 merged.append(point_id)
         return merged
-
-    def _scan(
-        self, values: np.ndarray, ids: np.ndarray, counter: DominanceCounter
-    ) -> list[int]:
-        """Direct skyline of a small partition: sum-sorted SFS scan."""
-        order = ids[np.argsort(values[ids].sum(axis=1), kind="stable")]
-        skyline: list[int] = []
-        block = values[:0]
-        for point_id in order:
-            point_id = int(point_id)
-            if first_dominator(block, values[point_id], counter) == -1:
-                skyline.append(point_id)
-                block = values[np.asarray(skyline, dtype=np.intp)]
-        return skyline

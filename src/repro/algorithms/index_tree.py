@@ -5,9 +5,9 @@ each of the ``d`` lists is stored in a B+-tree keyed by that minimum value.
 The scan merges the lists in increasing key order; each batch of equal-key
 points is tested against the skyline found so far.  Processing by
 increasing minimum coordinate is weakly monotone (a dominator's ``minC``
-never exceeds its dominated point's), and batches are ordered internally by
-the strictly monotone coordinate sum, so dominators are always tested
-first.
+never exceeds its dominated point's), and each batch is ordered internally
+by :func:`~repro.dominance.scan_order` over the raw rows, so dominators are
+always tested first.
 
 Early termination mirrors SaLSa's stop rule: once the smallest pending key
 exceeds the smallest maximum coordinate among confirmed skyline points,
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.algorithms.base import SkylineAlgorithm
 from repro.dataset import Dataset
-from repro.dominance import first_dominator
+from repro.dominance import first_dominator, scan_order
 from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 from repro.structures.bplustree import BPlusTree
@@ -68,7 +68,6 @@ class IndexSkyline(SkylineAlgorithm):
                 heapq.heappush(heap, (key, list_id, point_id))
                 break
 
-        sums = shifted.sum(axis=1)
         max_coords: list[float] = shifted.max(axis=1).tolist()
         stop_value = float("inf")
         skyline: list[int] = []
@@ -85,7 +84,9 @@ class IndexSkyline(SkylineAlgorithm):
                 for next_key, next_id in iterators[list_id]:
                     heapq.heappush(heap, (next_key, list_id, next_id))
                     break
-            batch.sort(key=lambda pid: sums[pid])
+            if len(batch) > 1:
+                batch_ids = np.asarray(batch, dtype=np.intp)
+                batch = batch_ids[scan_order(values[batch_ids])].tolist()
             for point_id in batch:
                 if first_dominator(sky_block, values[point_id], counter) == -1:
                     skyline.append(point_id)

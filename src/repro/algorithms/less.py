@@ -16,11 +16,11 @@ from collections.abc import MutableMapping
 
 import numpy as np
 
-from repro.algorithms.base import SortScanAlgorithm, monotone_order
-from repro.algorithms.sortkeys import sort_keys, sum_tiebreak
+from repro.algorithms.base import SortScanAlgorithm
+from repro.algorithms.sortkeys import sort_keys
 from repro.core.container import SkylineContainer
 from repro.dataset import Dataset
-from repro.dominance import first_dominator
+from repro.dominance import first_dominator, scan_order
 from repro.errors import InvalidParameterError
 from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
@@ -46,7 +46,7 @@ class LESS(SortScanAlgorithm):
 
     def sort_ids(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
         keys = sort_keys(values, "entropy")
-        return monotone_order(keys, sum_tiebreak(values), ids)
+        return ids[scan_order(values[ids], keys[ids])]
 
     def run_phase(
         self,
@@ -101,9 +101,8 @@ class LESS(SortScanAlgorithm):
                             ef_ids[worst] = point_id
 
                 # Phase 2: SFS scan over the survivors.
-                order = monotone_order(
-                    keys, sum_tiebreak(values), np.asarray(survivors, dtype=np.intp)
-                )
+                kept = np.asarray(survivors, dtype=np.intp)
+                order = kept[scan_order(values[kept], keys[kept])]
             if sort_cache is not None:
                 sort_cache["order"] = order
         skyline: list[int] = []

@@ -7,9 +7,11 @@ point is strictly worse than the stop point in all dimensions and the scan
 terminates without testing them — which is why unboosted SaLSa's mean
 dominance test number can drop below 1 on correlated data (Table 8).
 
-``minC`` is only weakly monotone, so the scan order breaks ties with the
-strictly monotone coordinate sum; the stop rule uses a strict comparison so
-that duplicate points of the stop point are never discarded unseen.
+``minC`` is only weakly monotone, so the scan order breaks its ties with
+:func:`~repro.dominance.scan_order` (the coordinate sum, then the raw
+coordinates: in floats the sum alone is only weakly monotone too); the stop
+rule uses a strict comparison so that duplicate points of the stop point
+are never discarded unseen.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from collections.abc import MutableMapping
 import numpy as np
 
 from repro.algorithms.base import SortScanAlgorithm, cached_sort_order
-from repro.algorithms.sortkeys import sort_keys, sum_tiebreak
+from repro.algorithms.sortkeys import sort_keys
 from repro.core.container import SkylineContainer
 from repro.dataset import Dataset
-from repro.dominance import first_dominator
+from repro.dominance import first_dominator, scan_order
 from repro.stats.counters import DominanceCounter
 
 __all__ = ["SaLSa"]
@@ -38,7 +40,7 @@ class SaLSa(SortScanAlgorithm):
         # whole-dataset sort, key math only over the active rows.
         subset = values[ids]
         keys = sort_keys(subset, "minc", corner=values.min(axis=0))
-        return ids[np.lexsort((sum_tiebreak(subset), keys))]
+        return ids[scan_order(subset, keys)]
 
     def run_phase(
         self,

@@ -12,11 +12,12 @@ first.
 Key properties preserved from the original design:
 
 - a point already classified through another dimension is skipped;
-- each per-dimension order breaks value ties with the strictly monotone
-  coordinate sum, so a dominator precedes its dominated points in *every*
-  dimension order — classification is always complete when a point is
-  first visited (this is what makes duplicate-heavy data like WEATHER
-  safe);
+- each per-dimension order is a :func:`~repro.dominance.scan_order` keyed
+  by that dimension's value (value ties broken by the coordinate sum, then
+  the raw coordinates, since a float sum is only weakly monotone), so a
+  dominator precedes its dominated points in *every* dimension order —
+  classification is always complete when a point is first visited (this
+  is what makes duplicate-heavy data like WEATHER safe);
 - the point with the minimum Euclidean distance serves as the *stop
   point*: once every dimension's cursor has passed it strictly, all
   unvisited points are strictly dominated by it and the scan terminates.
@@ -49,7 +50,7 @@ import numpy as np
 from repro.algorithms.base import SkylineAlgorithm
 from repro.core.container import ListContainer, SkylineContainer
 from repro.dataset import Dataset
-from repro.dominance import first_dominator, first_dominator_prefix
+from repro.dominance import first_dominator, first_dominator_prefix, scan_order
 from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
 
@@ -107,18 +108,14 @@ class SDI(SkylineAlgorithm):
             with current_tracer().span(
                 "sort", host=self.name, points=int(ids.size), dims=d
             ):
-                tiebreak = values.sum(axis=1)
+                rows = values[ids]
 
                 # Sort phase: one index per dimension over the active ids.
-                orders = [
-                    ids[np.lexsort((tiebreak[ids], values[ids, dim]))]
-                    for dim in range(d)
-                ]
+                orders = [ids[scan_order(rows, rows[:, dim])] for dim in range(d)]
 
                 # Stop point: minimum Euclidean distance to the minimum
                 # corner.
-                corner = values[ids].min(axis=0)
-                shifted = values[ids] - corner
+                shifted = rows - rows.min(axis=0)
                 stop_id = int(
                     ids[np.argmin(np.einsum("ij,ij->i", shifted, shifted))]
                 )

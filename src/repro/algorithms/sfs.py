@@ -17,7 +17,8 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.algorithms.base import SortScanAlgorithm
-from repro.algorithms.sortkeys import sort_keys, sum_tiebreak
+from repro.algorithms.sortkeys import sort_keys
+from repro.dominance import scan_order
 
 __all__ = ["SFS"]
 
@@ -39,25 +40,18 @@ class SFS(SortScanAlgorithm):
         sort_keys(np.zeros((1, 1)), sort_function)  # validate eagerly
 
     def sort_ids(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        keys, ties = self._key_arrays(values, ids)
-        return ids[np.lexsort((ties, keys))]
+        return ids[scan_order(values[ids], self._keys(values, ids))]
 
-    def sort_keyer(
-        self,
-    ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        # The SFS order is a pure lexsort over per-row key arrays, so it is
-        # key-decomposable: cached_sort_order stores the arrays and can
+    def sort_keyer(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        # The SFS order is scan_order over one per-row key array, so it is
+        # key-decomposable: cached_sort_order stores the array and can
         # suffix-repair the order after a delta (keys recomputed only for
         # appended rows).
-        return self._key_arrays
+        return self._keys
 
-    def _key_arrays(
-        self, values: np.ndarray, ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _keys(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
         # Keys are computed over only the active rows (the merge survivors
         # in a boosted scan) but shifted by the full dataset's minimum
         # corner, so the order is identical to a whole-dataset sort while
         # skipping the transcendental key math for every pruned point.
-        subset = values[ids]
-        keys = sort_keys(subset, self.sort_function, corner=values.min(axis=0))
-        return keys, sum_tiebreak(subset)
+        return sort_keys(values[ids], self.sort_function, corner=values.min(axis=0))

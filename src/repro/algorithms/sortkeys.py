@@ -9,7 +9,10 @@ seen before the points it dominates.  The choice of ``f`` is "heuristic
 All keys are computed after shifting by the dataset's componentwise minimum
 corner so they remain well-defined (entropy) and monotone for arbitrary
 real-valued data; on the paper's ``[0, 1]`` benchmarks the shift is a no-op.
-Non-strict keys (``minc``) must be paired with the strict ``sum`` tiebreak.
+In floats every key is only *weakly* monotone (``1.0 + 1e-17 == 1.0``, and
+the shift itself can round a sub-ulp difference away), so a key alone
+never fixes the scan order: callers pass it to
+:func:`~repro.dominance.scan_order`, which breaks its ties on the raw rows.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["sort_keys", "sum_tiebreak"]
+__all__ = ["sort_keys"]
 
 SORT_FUNCTIONS = ("entropy", "sum", "euclidean", "minc")
 
@@ -29,8 +32,9 @@ def sort_keys(
     """Per-point sort keys for one of :data:`SORT_FUNCTIONS`.
 
     ``entropy``, ``sum`` and ``euclidean`` are strictly monotone under
-    dominance; ``minc`` (SaLSa's min-coordinate) is weakly monotone and
-    relies on the caller's tiebreak.
+    dominance in exact arithmetic, ``minc`` (SaLSa's min-coordinate) only
+    weakly; in floats all four are weakly monotone, so equal keys are
+    ordered by :func:`~repro.dominance.scan_order`.
 
     ``corner`` overrides the shift origin: a boosted scan phase computes
     keys over only the merge survivors but must keep the *full* dataset's
@@ -48,8 +52,3 @@ def sort_keys(
     if function == "euclidean":
         return np.sqrt(np.einsum("ij,ij->i", shifted, shifted))
     return shifted.min(axis=1)  # minc
-
-
-def sum_tiebreak(values: np.ndarray) -> np.ndarray:
-    """The strictly monotone tiebreak shared by every scan order."""
-    return values.sum(axis=1)

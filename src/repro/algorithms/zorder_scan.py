@@ -6,8 +6,10 @@ points it dominates in Z-address order.  Scanning in that order is
 therefore a valid monotone presort (Section 2's requirement), with the
 pleasant locality properties that made Z-order attractive to ZSearch [16].
 
-Grid quantisation can map distinct values to the same cell, so the scan
-order breaks Z-address ties with the strictly monotone coordinate sum.
+Grid quantisation can map distinct values to the same cell, so the
+addresses are only weakly monotone: the scan order passes their ranks to
+:func:`~repro.dominance.scan_order`, which breaks address ties by the
+coordinate sum and then the raw coordinates.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import SortScanAlgorithm
-from repro.algorithms.sortkeys import sum_tiebreak
+from repro.dominance import scan_order
 from repro.errors import InvalidParameterError
-from repro.structures.zorder import grid_coordinates, z_addresses
+from repro.structures.zorder import z_ranks
 
 __all__ = ["ZOrderScan"]
 
@@ -39,11 +41,5 @@ class ZOrderScan(SortScanAlgorithm):
         self.bits = bits
 
     def sort_ids(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        grid = grid_coordinates(values, bits=self.bits)
-        addresses = z_addresses(grid, bits=self.bits)
-        tiebreak = sum_tiebreak(values)
-        ordered = sorted(
-            (int(i) for i in ids),
-            key=lambda pid: (addresses[pid], tiebreak[pid]),
-        )
-        return np.asarray(ordered, dtype=np.intp)
+        ranks = z_ranks(values, self.bits)
+        return ids[scan_order(values[ids], ranks[ids])]

@@ -21,12 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import SkylineAlgorithm
-from repro.algorithms.sortkeys import sum_tiebreak
 from repro.dataset import Dataset
-from repro.dominance import first_dominator
+from repro.dominance import first_dominator, scan_order
 from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
-from repro.structures.zorder import grid_coordinates, z_addresses
+from repro.structures.zorder import z_ranks
 
 __all__ = ["ZSearch"]
 
@@ -54,10 +53,7 @@ class ZSearch(SkylineAlgorithm):
 
     def _run(self, dataset: Dataset, counter: DominanceCounter) -> list[int]:
         values = dataset.values
-        grid = grid_coordinates(values, bits=self.bits)
-        addresses = z_addresses(grid, bits=self.bits)
-        tiebreak = sum_tiebreak(values)
-        order = sorted(range(dataset.cardinality), key=lambda i: (addresses[i], tiebreak[i]))
+        order = scan_order(values, z_ranks(values, self.bits)).tolist()
 
         skyline: list[int] = []
         sky_block = values[:0]

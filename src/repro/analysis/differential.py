@@ -4,8 +4,11 @@ The registry promises that every name in
 :func:`repro.algorithms.registry.available_algorithms` computes the exact
 skyline.  This harness checks that promise the only way that scales with
 the registry: run them all on seeded independent / correlated /
-anti-correlated datasets and diff against a brute-force oracle that shares
-no code with the library's dominance kernels.
+anti-correlated datasets, plus a sub-ulp tie regime, and diff against a
+brute-force oracle that shares no code with the library's dominance
+kernels.  The tie regime draws every coordinate from ``TIE_LEVELS``, where
+``1e-17`` vanishes beside ``±1`` in a float sum or a corner shift: it
+catches a scan order that lets a victim precede its dominator.
 
 On divergence the harness *minimizes* the counterexample with a greedy
 delta-debugging pass (drop chunks of rows while the divergence persists),
@@ -21,6 +24,9 @@ import numpy as np
 from repro.algorithms.registry import available_algorithms, get_algorithm
 from repro.analysis.report import Finding, Severity
 from repro.data import generate
+
+#: Coordinate levels of the ``"TIE"`` regime.
+TIE_LEVELS = (-1.0, 0.0, 1e-17, 1.0)
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,13 @@ def oracle_skyline(values: np.ndarray) -> list[int]:
         if not bool(dominators.any()):
             result.append(i)
     return result
+
+
+def _regime_values(kind: str, n: int, d: int, seed: int) -> np.ndarray:
+    """The seeded ``(n, d)`` dataset of one regime: a generator kind, or ``"TIE"``."""
+    if kind == "TIE":
+        return np.random.default_rng(seed).choice(np.array(TIE_LEVELS), size=(n, d))
+    return generate(kind, n=n, d=d, seed=seed).values
 
 
 def _algorithm_skyline(name: str, values: np.ndarray) -> list[int]:
@@ -117,7 +130,7 @@ def minimize_counterexample(
 
 def run_differential(
     algorithms: tuple[str, ...] | None = None,
-    kinds: tuple[str, ...] = ("UI", "CO", "AC"),
+    kinds: tuple[str, ...] = ("UI", "CO", "AC", "TIE"),
     n: int = 96,
     d: int = 4,
     seeds: tuple[int, ...] = (5,),
@@ -130,7 +143,7 @@ def run_differential(
     algorithms:
         Registry names to check (default: every registered algorithm).
     kinds, n, d, seeds:
-        The seeded dataset matrix.
+        The seeded dataset matrix (see :func:`_regime_values`).
     minimize:
         Shrink each divergent dataset to a minimal counterexample.
     """
@@ -138,7 +151,7 @@ def run_differential(
     failures: list[Divergence] = []
     for kind in kinds:
         for seed in seeds:
-            values = generate(kind, n=n, d=d, seed=seed).values
+            values = _regime_values(kind, n, d, seed)
             expected = oracle_skyline(values)
             for name in names:
                 got = sorted(_algorithm_skyline(name, values))

@@ -24,31 +24,13 @@ a block handed out earlier never changes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterator
 
 import numpy as np
 
-from repro.core.subset_index import SkylineIndex
+from repro.core.subset_index import CandidateBuffer, SkylineIndex
+from repro.dominance import first_dominator
 from repro.stats.counters import DominanceCounter
-
-
-class _GrowingBlock:
-    """An append-only ``(k, d)`` float block over a column-major buffer
-    with amortised doubling."""
-
-    def __init__(self, d: int) -> None:
-        self._cols = np.empty((d, 64), dtype=np.float64)
-        self._len = 0
-
-    def append(self, row: np.ndarray) -> None:
-        if self._len == self._cols.shape[1]:
-            grown = np.empty((self._cols.shape[0], self._cols.shape[1] * 2))
-            grown[:, : self._len] = self._cols[:, : self._len]
-            self._cols = grown
-        self._cols[:, self._len] = row
-        self._len += 1
-
-    def view(self) -> np.ndarray:
-        return self._cols[:, : self._len].T
 
 
 class SkylineContainer(ABC):
@@ -87,27 +69,19 @@ class ListContainer(SkylineContainer):
 
     def __init__(self, values: np.ndarray) -> None:
         self._values = values
-        self._ids: list[int] = []
-        self._id_array = np.empty(0, dtype=np.intp)
-        self._block = _GrowingBlock(values.shape[1])
-        self._dirty = False
+        self._stored = CandidateBuffer([], values)
 
     def add(self, point_id: int, mask: int) -> None:
-        self._ids.append(point_id)
-        self._block.append(self._values[point_id])
-        self._dirty = True
+        self._stored.extend(np.array((point_id,), dtype=np.intp), self._values)
 
     def candidates(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._dirty:
-            self._id_array = np.asarray(self._ids, dtype=np.intp)
-            self._dirty = False
-        return self._id_array, self._block.view()
+        return self._stored.array(), self._stored.rows()
 
     def ids(self) -> list[int]:
-        return list(self._ids)
+        return self._stored.ids_list()
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return self._stored.size
 
 
 class SubsetContainer(SkylineContainer):
@@ -187,3 +161,24 @@ class SubsetContainer(SkylineContainer):
 
     def __len__(self) -> int:
         return len(self._all_ids)
+
+
+def presorted_scan(
+    values: np.ndarray, order: np.ndarray, counter: DominanceCounter | None
+) -> Iterator[int]:
+    """Yield the skyline ids among the rows ``order``, in that order.
+
+    ``order`` must be a :func:`~repro.dominance.scan_order` of its rows
+    (every dominator before the rows it dominates), so one early-exit test
+    of each row against the rows confirmed so far settles it: the SFS loop
+    over a :class:`ListContainer`, charged as that loop charges.  The ids
+    yielded so far are always skyline points of ``order``'s rows, so a
+    caller may stop consuming at any time.
+    """
+    container = ListContainer(values)
+    _, block = container.candidates(0)
+    for point_id in np.asarray(order).tolist():
+        if first_dominator(block, values[point_id], counter) == -1:
+            container.add(point_id, 0)
+            _, block = container.candidates(0)
+            yield point_id

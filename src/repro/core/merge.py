@@ -17,6 +17,11 @@ Implementation notes
   data.  We score by distance to the componentwise minimum corner instead —
   identical on the paper's ``[0, 1]`` benchmarks, and it keeps the "minimum
   score ⇒ skyline point" invariant for arbitrary real-valued data.
+- Every score is only weakly monotone in floats (the corner shift and the
+  sum can both round a sub-ulp difference away), so among the points with
+  the minimum score the pivot is the first in
+  :func:`~repro.dominance.scan_order` over their raw rows: no point that
+  dominates it can tie its score and come later.
 - Points equal to a pivot are skyline points too (Algorithm 1 lines 14–17)
   and are reported separately in :attr:`MergeResult.duplicate_skyline_ids`.
 """
@@ -29,7 +34,7 @@ import numpy as np
 
 from repro.core.stability import StabilityTracker, validate_threshold
 from repro.dataset import Dataset, as_dataset
-from repro.dominance import dominating_subspaces
+from repro.dominance import dominating_subspaces, scan_order
 from repro.errors import InvalidParameterError
 from repro.obs.clock import Stopwatch
 from repro.obs.trace import TracerLike, current_tracer
@@ -105,9 +110,10 @@ class MergeResult:
 
 
 #: Pivot scoring strategies for the ablation study.  Every strategy must
-#: guarantee that the argmin (with the coordinate-sum tiebreak) is a skyline
-#: point of the remaining set; all three are strictly monotone under
-#: dominance on min-corner-shifted data.
+#: guarantee that the argmin, ties broken by scan_order, is a skyline point
+#: of the remaining set: all three are monotone under dominance on
+#: min-corner-shifted data, strictly in exact arithmetic but only weakly in
+#: floats, which is what the scan_order tiebreak covers.
 PIVOT_STRATEGIES = ("euclidean", "sum", "maxmin")
 
 
@@ -164,18 +170,16 @@ def _merge_body(
     tracer: TracerLike,
 ) -> MergeResult:
     # Distance to the minimum corner: the generalised "zero point" score.
-    corner = values.min(axis=0)
-    shifted = values - corner
-    sums = shifted.sum(axis=1)
+    shifted = values - values.min(axis=0)
     if pivot_strategy == "euclidean":
         scores = np.sqrt(np.einsum("ij,ij->i", shifted, shifted))
     elif pivot_strategy == "sum":
-        scores = sums
-    else:  # maxmin: smallest worst coordinate; sum tiebreak keeps it skyline
+        scores = shifted.sum(axis=1)
+    else:  # maxmin: smallest worst coordinate
         scores = shifted.max(axis=1)
 
     # The pruning loop operates on *compacted* parallel buffers: ids,
-    # coordinates, scores, sums and masks of the alive points occupy the
+    # coordinates, scores and masks of the alive points occupy the
     # prefix [:size] of preallocated arrays, in original id order.  Each
     # iteration runs the dominating-subspace kernel on the two contiguous
     # slices around the pivot row (no per-pivot fancy-index gather) and
@@ -186,7 +190,6 @@ def _merge_body(
     ids_buf = np.arange(n, dtype=np.intp)
     vals_buf = np.array(values, copy=True)
     score_buf = np.array(scores, copy=True)
-    sums_buf = np.array(sums, copy=True)
     masks_buf = np.zeros(n, dtype=np.int64)
     tracker = StabilityTracker(d)
     pivots: list[int] = []
@@ -204,7 +207,7 @@ def _merge_body(
             break
         active_scores = score_buf[:size]
         minima = np.nonzero(active_scores == active_scores.min())[0]
-        local = int(minima[np.argmin(sums_buf[:size][minima])])
+        local = int(minima[scan_order(vals_buf[minima])[0]])
         pivots.append(int(ids_buf[local]))
         pivot_row = vals_buf[local].copy()
         iterations += 1
@@ -235,7 +238,6 @@ def _merge_body(
         ids_buf[:newsize] = ids_buf[:size][keep]
         vals_buf[:newsize] = vals_buf[:size][keep]
         score_buf[:newsize] = score_buf[:size][keep]
-        sums_buf[:newsize] = sums_buf[:size][keep]
         masks_buf[:newsize] = masks_buf[:size][keep]
         removed = size - newsize
         size = newsize

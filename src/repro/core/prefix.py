@@ -12,9 +12,9 @@ tuples before any expensive scan.
 This module provides the three pure kernels the parallel path composes:
 
 - :func:`monotone_order` — one global scan order under a monotone sorting
-  function (SFS's entropy key with the shared sum tiebreak), so blocks can
-  be cut along it: every dominator of a point sorts *before* it, hence the
-  head of the order concentrates the strongest pruners;
+  function (SFS's entropy key in :func:`~repro.dominance.scan_order`), so
+  blocks can be cut along it: every dominator of a point sorts *before*
+  it, hence the head of the order concentrates the strongest pruners;
 - :func:`select_prefix` — the first ``size`` mutually non-dominated points
   of that order: the *shared-survivor prefix* broadcast to all workers.
   Because the order is monotone, these are guaranteed global skyline
@@ -29,10 +29,13 @@ This module provides the three pure kernels the parallel path composes:
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
-from repro.algorithms.sortkeys import sort_keys, sum_tiebreak
-from repro.dominance import dominance_matrix, first_dominator
+from repro.algorithms.sortkeys import sort_keys
+from repro.core.container import presorted_scan
+from repro.dominance import dominance_matrix, scan_order
 from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 
@@ -53,14 +56,15 @@ _HEAD_FACTOR = 8
 def monotone_order(values: np.ndarray) -> np.ndarray:
     """The global entropy-sorted scan order of ``values`` (row ids).
 
-    Entropy is strictly monotone under dominance (Section 2: ``f(p) < f(q)
-    ⇒ q ⊀ p``), so a prefix of this order can only be dominated from
-    within itself — the property both :func:`select_prefix` and
-    sort-order partitioning rely on.  The sum tiebreak keeps the order
-    aligned with the SFS scan convention on equal keys.
+    Entropy is monotone under dominance (Section 2: ``f(p) < f(q) ⇒ q ⊀
+    p``), and :func:`~repro.dominance.scan_order` puts a dominator first
+    even where float keys tie, so a prefix of this order can only be
+    dominated from within itself — the property both :func:`select_prefix`
+    and sort-order partitioning rely on.  It is SFS's scan order, and the
+    one order the engine caches for :func:`parallel_skyline
+    <repro.extensions.parallel.parallel_skyline>`.
     """
-    keys = sort_keys(values, "entropy")
-    return np.lexsort((sum_tiebreak(values), keys)).astype(np.intp)
+    return scan_order(values, sort_keys(values, "entropy")).astype(np.intp)
 
 
 def select_prefix(
@@ -84,16 +88,8 @@ def select_prefix(
     if size <= 0:
         return np.empty(0, dtype=np.intp)
     head = order[: min(order.size, max(64, _HEAD_FACTOR * size))]
-    kept_ids: list[int] = []
-    kept_rows = np.empty((0, values.shape[1]), dtype=values.dtype)
-    for point_id in head.tolist():
-        row = values[point_id]
-        if first_dominator(kept_rows, row, counter) == -1:
-            kept_ids.append(point_id)
-            kept_rows = np.vstack((kept_rows, row[np.newaxis, :]))
-            if len(kept_ids) >= size:
-                break
-    return np.asarray(kept_ids, dtype=np.intp)
+    kept = islice(presorted_scan(values, head, counter), size)
+    return np.fromiter(kept, dtype=np.intp)
 
 
 def prefix_filter(

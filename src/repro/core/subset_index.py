@@ -81,26 +81,20 @@ class _Node:
         self.children: dict[int, _Node] = {}
 
 
-class _CacheEntry:
-    """Memoized result of one query subspace.
+class CandidateBuffer:
+    """Candidate ids and their rows, grown append-only in lockstep.
 
-    The id set is append-only within an epoch and lives in an
-    amortised-doubling ``intp`` buffer; ``log_pos`` marks how much of the
-    index's put-log it has incorporated.  With a value matrix, ``cols``
-    holds the gathered candidate rows column-major, ``(d, capacity)``, in
-    lockstep with the ids: a dominance test then reduces over ``d``
-    contiguous columns.  Callers receive views of the buffer prefixes —
-    appends only ever touch positions beyond every view handed out so far,
-    and growth moves to a fresh buffer.
+    The ids live in an amortised-doubling ``intp`` buffer.  With a value
+    matrix, ``cols`` holds the gathered rows column-major, ``(d,
+    capacity)``: a dominance test then reduces over ``d`` contiguous
+    columns.  Callers receive views of the buffer prefixes — appends only
+    ever touch positions beyond every view handed out so far, and growth
+    moves to a fresh buffer, so a view handed out never changes.
     """
 
-    __slots__ = ("epoch", "log_pos", "buf", "cols", "size")
+    __slots__ = ("buf", "cols", "size")
 
-    def __init__(
-        self, epoch: int, log_pos: int, ids: list[int], values: np.ndarray | None
-    ) -> None:
-        self.epoch = epoch
-        self.log_pos = log_pos
+    def __init__(self, ids: list[int], values: np.ndarray | None) -> None:
         arr = np.asarray(ids, dtype=np.intp)
         self.size = arr.shape[0]
         self.buf = np.empty(max(4, self.size), dtype=np.intp)
@@ -133,6 +127,28 @@ class _CacheEntry:
         view = self.buf[: self.size]
         view.flags.writeable = False
         return view
+
+    def rows(self) -> np.ndarray:
+        """The rows as a ``(size, d)`` view: ``rows()[k]`` is ``values[ids[k]]``."""
+        return self.cols[:, : self.size].T  # type: ignore[index]
+
+
+class _CacheEntry(CandidateBuffer):
+    """Memoized result of one query subspace.
+
+    A :class:`CandidateBuffer` of the query's result, valid within one
+    index ``epoch``; ``log_pos`` marks how much of the index's put-log it
+    has incorporated.
+    """
+
+    __slots__ = ("epoch", "log_pos")
+
+    def __init__(
+        self, epoch: int, log_pos: int, ids: list[int], values: np.ndarray | None
+    ) -> None:
+        super().__init__(ids, values)
+        self.epoch = epoch
+        self.log_pos = log_pos
 
 
 class SkylineIndex:
@@ -301,7 +317,7 @@ class SkylineIndex:
             ids.flags.writeable = False
             return ids, self._values[ids]  # type: ignore[index]
         entry = self._entry(subspace, counter)
-        return entry.array(), entry.cols[:, : entry.size].T  # type: ignore[index]
+        return entry.array(), entry.rows()
 
     def _traced(
         self,

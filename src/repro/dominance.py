@@ -16,8 +16,10 @@ vectorised caller is built on (see the "Dominance kernels" section of
 
 :func:`first_dominator_prefix` is SDI's form of the first: the same
 charge over a sorted column prefix, found in one unsorted pass.
-:func:`sum_order` is the scan order presorted callers share: every
-dominator precedes the points it dominates, even when float sums tie.
+:func:`scan_order` is the one scan order every presorted caller shares
+(sort functions, per-dimension indexes, partitions, Merge's pivot choice):
+every dominator precedes the points it dominates, even when float keys
+and sums tie.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
     "first_dominator",
     "first_dominator_prefix",
     "dominance_matrix",
-    "sum_order",
+    "scan_order",
 ]
 
 
@@ -139,25 +141,38 @@ def dominance_matrix(rows: np.ndarray, dominators: np.ndarray) -> np.ndarray:
     return out
 
 
-def sum_order(rows: np.ndarray) -> np.ndarray:
+def scan_order(rows: np.ndarray, key: np.ndarray | None = None) -> np.ndarray:
     """Row order in which every dominator precedes the rows it dominates.
 
-    Ascending coordinate sum, stable.  A dominator's float sum is only
-    *weakly* below its victim's (``1.0 + 1e-17 == 1.0``), so when two sums
-    tie the order is recomputed as a lexsort on ``(sum, column 0, column
-    1, ...)``: among equal sums a dominator is lexicographically smaller.
-    Tie-free data pays one extra comparison pass.
+    A stable ascending sort by ``(key, row sum, column 0, ..., column
+    d-1)``.  ``key``, when given, is any per-row value that is never larger
+    for a dominator than for its victim: a sort function, one dimension's
+    value, a rank.  In floats every such key is only *weakly* monotone, and
+    so is the row sum (``1.0 + 1e-17 == 1.0``), but among rows that tie on
+    both a dominator is lexicographically smaller.  The full lexsort runs
+    only when some ``(key, sum)`` pair ties, so tie-free data pays one
+    extra comparison pass, and there the order is ``lexsort((sums, key))``.
+
+    ``rows`` must be the raw coordinates, never a corner-shifted copy:
+    ``x - min`` can itself round a sub-ulp difference away.
 
     >>> import numpy as np
-    >>> sum_order(np.array([[1.0, 1e-17], [1.0, 0.0], [0.5, 0.0]])).tolist()
+    >>> scan_order(np.array([[1.0, 1e-17], [1.0, 0.0], [0.5, 0.0]])).tolist()
     [2, 1, 0]
+    >>> scan_order(np.array([[0.0, 3.0], [1.0, 1.0]]), key=np.array([1, 0])).tolist()
+    [1, 0]
     """
     rows = np.asarray(rows)
     sums = rows.sum(axis=1)
-    order = np.argsort(sums, kind="stable")
+    keys = (sums,) if key is None else (sums, np.asarray(key))
+    order = np.lexsort(keys)
     ranked = sums[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        order = np.lexsort((*rows.T[::-1], sums))
+    tied = ranked[1:] == ranked[:-1]
+    for column in keys[1:]:
+        ranked = column[order]
+        tied &= ranked[1:] == ranked[:-1]
+    if tied.any():
+        order = np.lexsort((*rows.T[::-1], *keys))
     return order
 
 

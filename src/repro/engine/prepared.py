@@ -117,7 +117,7 @@ _STREAM_ANCHORS = 8
 #: anything else (SaLSa's scan state, SDI's per-dimension orders, LESS's
 #: helper-free order) hold derived state the repair cannot reproduce and
 #: are dropped whole.
-_REPAIRABLE_SORT_KEYS = frozenset({"order", "keys", "ties"})
+_REPAIRABLE_SORT_KEYS = frozenset({"order", "keys"})
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ point ``p`` can only dominate ``q`` when ``mask(p) ⊇ mask(q)``
 therefore runs a monotone sorted scan that counts dominators only among
 mask-superset skyband members, skipping all provably incomparable pairs.
 
-Key invariant of the sorted scan (:func:`~repro.dominance.sum_order`,
+Key invariant of the sorted scan (:func:`~repro.dominance.scan_order`,
 which breaks equal float sums by column): every dominator of a point
 precedes it, skyband members are never invalidated later, and a
 discarded point's dominators are themselves skyband members — so
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.dataset import Dataset, as_dataset
-from repro.dominance import dominance_matrix, dominating_subspaces, sum_order
+from repro.dominance import dominance_matrix, dominating_subspaces, scan_order
 from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
@@ -113,7 +113,7 @@ def skyband(
     else:
         masks = anchor_masks(dataset, counter)
 
-    order = sum_order(values)
+    order = scan_order(values)
     band: dict[int, int] = {}
     member_ids: list[int] = []
     member_masks = np.empty(0, dtype=np.int64)

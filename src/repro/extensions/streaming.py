@@ -47,7 +47,7 @@ charged for points whose proof of domination still stands.
 
 Costs: ``insert`` is a subset query plus one vectorised demotion sweep over
 the skyline; ``delete``/``delete_many`` re-probe only the witness-orphaned
-buffered points, in :func:`~repro.dominance.sum_order` (dominators first,
+buffered points, in :func:`~repro.dominance.scan_order` (dominators first,
 so a promoted point immediately shields the points it dominates),
 charging one dominance test per inspected pair.
 """
@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.container import SubsetContainer
-from repro.dominance import dominance_matrix, first_dominator, sum_order
+from repro.dominance import dominance_matrix, first_dominator, scan_order
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.stats.counters import DominanceCounter
 from repro.structures.rowstore import RowStore
@@ -509,14 +509,14 @@ class StreamingSkyline:
         Two phases.  The elimination phase (:meth:`_eliminate`) discards
         candidates the *current* skyline still dominates, vectorised.  The
         few survivors then re-probe the live store one by one in
-        :func:`~repro.dominance.sum_order` — a promoted point is indexed
+        :func:`~repro.dominance.scan_order` — a promoted point is indexed
         before anything it dominates is probed, so survivors dominated
         only by *other exposed candidates* resolve exactly as the
         one-by-one delete path would.
         """
         if exposed.size == 0:
             return
-        order = sum_order(block)
+        order = scan_order(block)
         exposed = exposed[order]
         block = block[order]
         sky_rows, sky_ids_sorted = self._sky_by_sum()
@@ -534,10 +534,10 @@ class StreamingSkyline:
                 self._store.add(buf_id, mask)
 
     def _sky_by_sum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Skyline rows and their ids in :func:`~repro.dominance.sum_order`."""
+        """Skyline rows and their ids in :func:`~repro.dominance.scan_order`."""
         ids = np.flatnonzero(self._in_sky[: self._next_id])
         rows = self._rows[ids]
-        order = sum_order(rows)
+        order = scan_order(rows)
         return rows[order], ids[order]
 
     def _eliminate(
@@ -545,7 +545,7 @@ class StreamingSkyline:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Flag which of ``rows`` some skyline point dominates, vectorised.
 
-        The dominator block — in :func:`~repro.dominance.sum_order`,
+        The dominator block — in :func:`~repro.dominance.scan_order`,
         strongest points first — is scanned in ``_PROMOTION_CHUNK``-row
         rounds against every still-undecided candidate at once, dropping
         dominated candidates between rounds.  Candidates are sum-ordered
@@ -563,7 +563,7 @@ class StreamingSkyline:
         witness = np.full(rows.shape[0], -1, dtype=np.intp)
         if sky_rows.shape[0] == 0 or rows.shape[0] == 0:
             return dominated, witness
-        order = sum_order(rows)
+        order = scan_order(rows)
         sorted_rows = rows[order]
         sky_sums = sky_rows.sum(axis=1)
         undecided = np.arange(rows.shape[0])

@@ -15,7 +15,7 @@ leave little to compare: correlated data with a handful of skyline points
 (CO d=8: 2.9 vs 1.7 ms at n=4k, 32 vs 28 ms at n=100k) and low-dimensional
 uniform data at scale (UI n=100k d=4: 211 vs 71 ms).
 
-Strategy: a scan in :func:`~repro.dominance.sum_order`, processed in
+Strategy: a scan in :func:`~repro.dominance.scan_order`, processed in
 chunks.  Each chunk is filtered against the confirmed skyline tile by tile
 with :func:`~repro.dominance.dominance_matrix`, the survivors are reduced
 against each other with one pairwise pass, and the chunk's skyline joins
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataset import Dataset, as_dataset
-from repro.dominance import dominance_matrix, sum_order
+from repro.dominance import dominance_matrix, scan_order
 from repro.errors import InvalidParameterError
 
 #: Rows of one scanning chunk.
@@ -57,7 +57,7 @@ def fast_skyline(
     values = dataset.values
     n = dataset.cardinality
 
-    order = sum_order(values)
+    order = scan_order(values)
     ordered = values[order]
 
     sky_rows = np.empty((0, dataset.dimensionality), dtype=values.dtype)

@@ -74,3 +74,16 @@ def z_addresses(grid: np.ndarray, bits: int = 16) -> list[int]:
             for row in hits:
                 addresses[row] |= target
     return addresses
+
+
+def z_ranks(values: np.ndarray, bits: int) -> np.ndarray:
+    """Dense ranks of the Morton addresses of ``values`` on a ``2**bits`` grid.
+
+    The addresses are Python ints (they can exceed 64 bits); their dense
+    ranks are an integer array in the same order, weakly monotone under
+    dominance like the addresses, and usable as a
+    :func:`~repro.dominance.scan_order` key.
+    """
+    addresses = z_addresses(grid_coordinates(values, bits=bits), bits=bits)
+    _, ranks = np.unique(np.asarray(addresses, dtype=object), return_inverse=True)
+    return ranks.astype(np.intp)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.base import SkylineAlgorithm, monotone_order, run_timed
+from repro.algorithms.base import SkylineAlgorithm, run_timed
 from repro.dataset import Dataset
+from repro.dominance import scan_order
 from repro.errors import ReproError
 from repro.stats.counters import DominanceCounter
 
@@ -51,23 +52,23 @@ class TestRunTimed:
 
 
 class TestMonotoneOrder:
+    """A host's scan order: ``ids[scan_order(values[ids], keys[ids])]``."""
+
     def test_primary_key_ascending(self):
         keys = np.array([3.0, 1.0, 2.0])
-        ties = np.zeros(3)
-        order = monotone_order(keys, ties, np.arange(3, dtype=np.intp))
-        assert list(order) == [1, 2, 0]
+        values = np.zeros((3, 2))
+        assert list(scan_order(values, keys)) == [1, 2, 0]
 
     def test_tiebreak_applied_on_equal_keys(self):
         keys = np.array([1.0, 1.0, 1.0])
-        ties = np.array([2.0, 0.0, 1.0])
-        order = monotone_order(keys, ties, np.arange(3, dtype=np.intp))
-        assert list(order) == [1, 2, 0]
+        values = np.array([[2.0, 0.0], [0.0, 0.0], [0.5, 0.5]])  # sums 2, 0, 1
+        assert list(scan_order(values, keys)) == [1, 2, 0]
 
     def test_subset_of_ids(self):
         keys = np.array([5.0, 4.0, 3.0, 2.0])
-        ties = np.zeros(4)
-        order = monotone_order(keys, ties, np.array([0, 2], dtype=np.intp))
-        assert list(order) == [2, 0]
+        values = np.zeros((4, 2))
+        ids = np.array([0, 2], dtype=np.intp)
+        assert list(ids[scan_order(values[ids], keys[ids])]) == [2, 0]
 
 
 class TestSkylineResult:

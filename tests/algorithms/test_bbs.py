@@ -43,6 +43,12 @@ class TestBBS:
         result = BBS().compute(duplicate_heavy)
         assert list(result.indices) == brute_skyline_ids(duplicate_heavy.values)
 
+    def test_dominance_tests_use_the_raw_frame(self):
+        # Shifting by the corner (-1, 1) rounds 1e-17 away and makes rows
+        # 0 and 1 equal, but row 0 dominates row 1.
+        values = np.array([[0.0, 1.0], [1e-17, 1.0], [-1.0, 2.0]])
+        assert list(BBS().compute(values).indices) == [0, 2]
+
     def test_negative_coordinates_shifted_safely(self, with_negatives):
         result = BBS().compute(with_negatives)
         assert list(result.indices) == brute_skyline_ids(with_negatives.values)

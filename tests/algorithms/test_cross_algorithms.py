@@ -1,10 +1,14 @@
 """Integration: every algorithm returns the oracle skyline on every regime.
 
-This is the library's central correctness net: all 16 registry entries
+This is the library's central correctness net: all 20 registry entries
 (plain, baseline, and boosted) are run over uniform, correlated,
 anti-correlated, duplicate-heavy, and negative-valued data and must agree
-exactly with an independent brute-force oracle.
+exactly with an independent brute-force oracle.  Two seeded searches over
+sub-ulp ties (``1e-17`` beside ``±1`` vanishes in a float sum or a corner
+shift) hold every name and the adaptive engine to the same oracle.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -57,6 +61,58 @@ class TestAgainstOracle:
         values = rng.random((150, 2))
         got = repro.skyline(values, algorithm=algorithm)
         assert list(got.indices) == brute_skyline_ids(values)
+
+
+#: Seeded searches: ``(seed, datasets, levels)``; each dataset has 2–29 rows
+#: and 2–4 columns drawn from the levels.
+_TIE_SEARCHES = {
+    "levels-0-1e-17-1-2": (0, 400, (0.0, 1e-17, 1.0, 2.0)),
+    "levels-neg1-0-1e-17-1": (1, 300, (-1.0, 0.0, 1e-17, 1.0)),
+}
+
+
+@functools.cache
+def _tie_search(search):
+    seed, count, levels = _TIE_SEARCHES[search]
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(2, 5))
+        values = rng.choice(np.array(levels), size=(n, d))
+        cases.append((values, brute_skyline_ids(values)))
+    return cases
+
+
+@pytest.mark.parametrize("search", sorted(_TIE_SEARCHES))
+@pytest.mark.parametrize("algorithm", [*ALL_ALGORITHMS, None], ids=str)
+def test_seeded_sub_ulp_tie_search(algorithm, search):
+    """``None`` is the engine's adaptive plan."""
+    wrong = [
+        values.tolist()
+        for values, expected in _tie_search(search)
+        if list(repro.skyline(values, algorithm=algorithm).indices) != expected
+    ]
+    assert not wrong, f"{len(wrong)} wrong datasets, first: {wrong[0]}"
+
+
+#: Minimal datasets on which a dominator ties its victim on every float
+#: key and sum; each one misordered some scan before ``scan_order``.
+_SUB_ULP_CASES = (
+    ([[1.0, 1e-17], [0.0, 2.0], [1.0, 0.0]], [1, 2]),
+    ([[1.0, 1e-17], [1.0, 0.0]], [1]),
+    ([[-1.0, 1e-17], [-1.0, 0.0]], [1]),
+    ([[1e-17, -1.0], [-1.0, 1e-17], [-1.0, 0.0]], [0, 2]),
+    ([[1e-17, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]], [1, 2, 3]),
+)
+
+
+@pytest.mark.parametrize("case", range(len(_SUB_ULP_CASES)))
+@pytest.mark.parametrize("algorithm", [*ALL_ALGORITHMS, None], ids=str)
+def test_scan_puts_a_sub_ulp_dominator_first(algorithm, case):
+    rows, expected = _SUB_ULP_CASES[case]
+    values = np.array(rows)
+    assert brute_skyline_ids(values) == expected
+    assert list(repro.skyline(values, algorithm=algorithm).indices) == expected
 
 
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)

@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.algorithms.sfs import SFS
 from repro.analysis.differential import (
+    TIE_LEVELS,
     minimize_counterexample,
     oracle_skyline,
     run_differential,
@@ -62,6 +63,24 @@ class TestHarness:
 
         got = sorted(int(i) for i in get_algorithm("sfs").compute(small).indices)
         assert got != oracle_skyline(small)
+
+    def test_tie_regime_catches_a_sum_only_scan_order(self, monkeypatch):
+        # The scan order before ties were broken on the columns: a victim
+        # that ties its dominator on (key, sum) may be scanned first.
+        import repro.algorithms.base as base_module
+        import repro.algorithms.sfs as sfs_module
+
+        def sum_only(rows, key=None):
+            return np.lexsort((rows.sum(axis=1), key))
+
+        for module in (base_module, sfs_module):
+            monkeypatch.setattr(module, "scan_order", sum_only)
+        assert run_differential(algorithms=("sfs",), kinds=("UI", "CO", "AC")) == []
+        failures = run_differential(algorithms=("sfs",), kinds=("TIE",))
+        assert len(failures) == 1 and failures[0].extra
+        rows = np.array(failures[0].minimized_rows)
+        assert 1 <= len(rows) <= 6
+        assert set(np.unique(rows).tolist()) <= set(TIE_LEVELS)
 
     def test_crashing_algorithm_counts_as_divergent(self, monkeypatch):
         def explodes(self, dataset, ids, masks, container, counter):

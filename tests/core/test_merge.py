@@ -124,6 +124,17 @@ class TestMergeBehaviour:
         skyline = set(brute_skyline_ids(dataset.values))
         assert set(result.pivot_ids) <= skyline
 
+    @pytest.mark.parametrize("strategy", PIVOT_STRATEGIES)
+    def test_sub_ulp_tie_never_makes_a_dominated_pivot(self, strategy):
+        # Row 1 dominates row 0 by 1e-17, which vanishes from every score
+        # and from the coordinate sum: rows 0 and 1 tie on both.
+        values = np.array(
+            [[1e-17, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]]
+        )
+        result = merge(Dataset(values), sigma=2, pivot_strategy=strategy)
+        assert result.pivot_ids[0] == 1
+        assert set(result.initial_skyline_ids) <= set(brute_skyline_ids(values))
+
     def test_higher_sigma_never_fewer_pivots(self):
         dataset = generate("UI", n=400, d=6, seed=6)
         pivots = [

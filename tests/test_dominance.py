@@ -15,7 +15,7 @@ from repro.dominance import (
     first_dominator,
     first_dominator_prefix,
     incomparable,
-    sum_order,
+    scan_order,
     weakly_dominates,
 )
 from repro.stats.counters import DominanceCounter
@@ -165,15 +165,53 @@ def test_dominance_matrix_matches_scalar_dominates(blocks):
     assert not dominance_matrix(rows, rows).diagonal().any()
 
 
-@given(st.integers(1, 3).flatmap(_tie_block))
-def test_sum_order_puts_every_dominator_first(rows):
-    ranked = rows[sum_order(rows)]
+def _assert_dominators_first(ranked):
     for i in range(len(ranked)):
         for j in range(i + 1, len(ranked)):
             assert not dominates(ranked[j], ranked[i])
+
+
+@given(st.integers(1, 3).flatmap(_tie_block))
+def test_sum_order_puts_every_dominator_first(rows):
+    """``scan_order`` without a key: the row sum, then the columns."""
+    _assert_dominators_first(rows[scan_order(rows)])
     sums = rows.sum(axis=1)
     if np.unique(sums).size == sums.size:  # tie-free: the plain stable sort
-        assert sum_order(rows).tolist() == np.argsort(sums, kind="stable").tolist()
+        assert scan_order(rows).tolist() == np.argsort(sums, kind="stable").tolist()
+
+
+#: Weakly monotone keys: a dominator's key never exceeds its victim's, and
+#: ties are common.
+_WEAK_KEYS = {
+    "min-coordinate": lambda rows: rows.min(axis=1),
+    "constant": lambda rows: np.zeros(rows.shape[0]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_WEAK_KEYS))
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(
+            st.lists(st.sampled_from((-1.0, 0.0, 1e-17, 1.0, 2.0)), min_size=d, max_size=d),
+            max_size=10,
+        ).map(lambda r: np.array(r, dtype=np.float64).reshape(len(r), d))
+    )
+)
+def test_scan_order_puts_every_dominator_first_under_a_weak_key(key, rows):
+    keys = _WEAK_KEYS[key](rows)
+    order = scan_order(rows, keys)
+    assert sorted(order.tolist()) == list(range(len(rows)))
+    _assert_dominators_first(rows[order])
+    sums = rows.sum(axis=1)
+    pairs = set(zip(keys.tolist(), sums.tolist()))
+    if len(pairs) == len(rows):  # no (key, sum) tie: the plain two-key sort
+        assert order.tolist() == np.lexsort((sums, keys)).tolist()
+
+
+def test_scan_order_breaks_a_sub_ulp_tie_on_the_columns():
+    # 1.0 + 1e-17 == 1.0: the key and the sum both tie, the columns do not.
+    rows = np.array([[1e-17, 1.0], [0.0, 1.0]])
+    assert scan_order(rows, np.array([1.0, 1.0])).tolist() == [1, 0]
 
 
 #: Half-precision values: coarse, so equal coordinates recur.
