@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.container import ListContainer, SkylineContainer, presorted_scan
+from repro.core.settle import settle
 from repro.dataset import Dataset, as_dataset
 from repro.dominance import first_dominator, scan_order
 from repro.obs.clock import timed
@@ -232,12 +233,6 @@ class SortScanAlgorithm(SkylineAlgorithm, _ProgressiveMixin):
     ) -> list[int]:
         """Presorted scan over ``ids`` using ``container`` as skyline store.
 
-        The loop body is deliberately thin: the container serves each
-        testing point's candidates as one cached contiguous block (see
-        :class:`~repro.core.container.SkylineContainer`'s stable-prefix
-        contract), and the per-point mask/id conversions are hoisted into
-        single ``tolist`` passes so no numpy scalars are boxed per point.
-
         ``sort_cache`` (when provided) must be private to one
         ``(algorithm-configuration, dataset, ids)`` triple; the scan order
         is read from it instead of re-sorting when present.
@@ -246,15 +241,40 @@ class SortScanAlgorithm(SkylineAlgorithm, _ProgressiveMixin):
         order = cached_sort_order(
             sort_cache, self.sort_ids, values, ids, keyer=self.sort_keyer()
         )
-        masks_list = masks.tolist()
-        skyline: list[int] = []
-        for point_id in order.tolist():
-            mask = masks_list[point_id]
-            _, block = container.candidates(mask)
-            if first_dominator(block, values[point_id], counter) == -1:
-                skyline.append(point_id)
-                container.add(point_id, mask)
-        return skyline
+        return sorted_scan(values, order, masks, container, counter)
+
+
+def sorted_scan(
+    values: np.ndarray,
+    order: np.ndarray,
+    masks: np.ndarray,
+    container: SkylineContainer,
+    counter: DominanceCounter,
+) -> list[int]:
+    """The SFS scan of the presorted ids ``order``; skyline ids in scan order.
+
+    Over a ``by_subspace`` container the scan is settled one subspace
+    group at a time (:func:`~repro.core.settle.settle`), with the ids and
+    charges of the per-point loop.  Over any other container it is that
+    loop: test each point against the container's candidates, and add the
+    survivors.  The loop body is deliberately thin: the container serves
+    each point's candidates as one contiguous block, and the per-point
+    mask/id conversions are hoisted into single ``tolist`` passes so no
+    numpy scalars are boxed per point.
+    """
+    if container.by_subspace:
+        survives, charges = settle(values, order, masks, container)
+        counter.add(int(charges.sum()))
+        return order[survives].tolist()
+    masks_list = masks.tolist()
+    skyline: list[int] = []
+    for point_id in order.tolist():
+        mask = masks_list[point_id]
+        _, block = container.candidates(mask)
+        if first_dominator(block, values[point_id], counter) == -1:
+            skyline.append(point_id)
+            container.add(point_id, mask)
+    return skyline
 
 
 def cached_sort_order(

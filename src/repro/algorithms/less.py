@@ -16,7 +16,7 @@ from collections.abc import MutableMapping
 
 import numpy as np
 
-from repro.algorithms.base import SortScanAlgorithm
+from repro.algorithms.base import SortScanAlgorithm, sorted_scan
 from repro.algorithms.sortkeys import sort_keys
 from repro.core.container import SkylineContainer
 from repro.dataset import Dataset
@@ -105,12 +105,4 @@ class LESS(SortScanAlgorithm):
                 order = kept[scan_order(values[kept], keys[kept])]
             if sort_cache is not None:
                 sort_cache["order"] = order
-        skyline: list[int] = []
-        for point_id in order:
-            point_id = int(point_id)
-            mask = int(masks[point_id])
-            _, block = container.candidates(mask)
-            if first_dominator(block, values[point_id], counter) == -1:
-                skyline.append(point_id)
-                container.add(point_id, mask)
-        return skyline
+        return sorted_scan(values, order, masks, container, counter)

@@ -23,6 +23,7 @@ import numpy as np
 from repro.algorithms.base import SortScanAlgorithm, cached_sort_order
 from repro.algorithms.sortkeys import sort_keys
 from repro.core.container import SkylineContainer
+from repro.core.settle import settle
 from repro.dataset import Dataset
 from repro.dominance import first_dominator, scan_order
 from repro.stats.counters import DominanceCounter
@@ -59,16 +60,32 @@ class SaLSa(SortScanAlgorithm):
         # sort keys, so the scan order and the stop metric agree.  Both
         # coordinates are derived once, for the scanned rows only, in scan
         # position order — minC is then exactly the (non-decreasing) sort
-        # key, so the stop rule defines a scan *prefix* and the per-point
-        # stop test collapses to one binary search per stop-point update.
+        # key, so the stop rule defines a scan *prefix*: every point q past
+        # the cut has minC(q) > stop_value, hence q[i] >= minC(q) >
+        # max(stop point) >= stop[i] in all dimensions, strictly dominated
+        # and never scanned.  The strict `>` keeps duplicates of the stop
+        # point in.
         cached = sort_cache.get("salsa_scan") if sort_cache is not None else None
         if cached is None:
             shifted = values[order] - values.min(axis=0)
-            cached = (shifted.min(axis=1), shifted.max(axis=1).tolist())
+            cached = (shifted.min(axis=1), shifted.max(axis=1))
             if sort_cache is not None:
                 sort_cache["salsa_scan"] = cached
         min_keys, max_coords = cached  # type: ignore[misc]
+        if container.by_subspace:
+            # Survivors and charges do not depend on the cut (every point
+            # past it is dominated), so the cut is applied afterwards: a
+            # position is scanned when its minC is at most the smallest
+            # max-coordinate among the survivors before it.
+            survives, charges = settle(values, order, masks, container)
+            stops = np.minimum.accumulate(np.where(survives, max_coords, np.inf))
+            limits = np.searchsorted(min_keys, np.append(np.inf, stops[:-1]), side="right")
+            past = np.flatnonzero(np.arange(order.size) >= limits)
+            scanned = int(past[0]) if past.size else order.size
+            counter.add(int(charges[:scanned].sum()))
+            return order[:scanned][survives[:scanned]].tolist()
         masks_list = masks.tolist()
+        max_list = max_coords.tolist()
         stop_value = float("inf")
         skyline: list[int] = []
         order_list = order.tolist()
@@ -81,12 +98,8 @@ class SaLSa(SortScanAlgorithm):
             if first_dominator(block, values[point_id], counter) == -1:
                 skyline.append(point_id)
                 container.add(point_id, mask)
-                if max_coords[position] < stop_value:
-                    stop_value = max_coords[position]
-                    # Every point q past the cut has minC(q) > stop_value,
-                    # hence q[i] >= minC(q) > max(stop point) >= stop[i] in
-                    # all dimensions: strictly dominated, never scanned.
-                    # The strict `>` keeps duplicates of the stop point in.
+                if max_list[position] < stop_value:
+                    stop_value = max_list[position]
                     limit = int(
                         np.searchsorted(min_keys, stop_value, side="right")
                     )

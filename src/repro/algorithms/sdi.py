@@ -39,16 +39,27 @@ computes both in one pass over the column-backed candidate block (see
 charged dominance tests are bit-identical to the scalar path;
 ``SDI(batched=False)`` keeps that path for differential tests and
 benchmarks.
+
+Grouped scan
+------------
+Over a subset container (SDI-Subset) the scan is settled one subspace at a
+time instead (:mod:`repro.core.settle`): survivor status does not depend
+on the visit order, so the groups are settled first, the traversal is
+replayed with every status known, and the charges are read off one
+``(value, insertion)`` order per dimension (:func:`_prefix_charges`).
+Ids and charged tests are those of the per-point scan; ``batched`` then
+changes nothing.
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
+from collections.abc import Callable, MutableMapping
 
 import numpy as np
 
 from repro.algorithms.base import SkylineAlgorithm
 from repro.core.container import ListContainer, SkylineContainer
+from repro.core.settle import first_hits, settle, subspace_groups
 from repro.dataset import Dataset
 from repro.dominance import first_dominator, first_dominator_prefix, scan_order
 from repro.obs.trace import current_tracer
@@ -65,10 +76,11 @@ class SDI(SkylineAlgorithm):
     Parameters
     ----------
     batched:
-        Run the prefix test as one unsorted pass over the candidate block
-        (default).  ``False`` re-filters and re-sorts the candidate block
-        per testing point — the scalar reference path with identical
-        output and test accounting.
+        Run the per-point prefix test as one unsorted pass over the
+        candidate block (default).  ``False`` re-filters and re-sorts the
+        candidate block per testing point — the scalar reference path with
+        identical output and test accounting.  A grouped scan over a
+        subset container runs neither.
     """
 
     name = "sdi"
@@ -123,75 +135,190 @@ class SDI(SkylineAlgorithm):
             if sort_cache is not None:
                 sort_cache["sdi_sort"] = (orders, stop_point)
 
-        # Plain-Python data structures for the per-point bookkeeping: the
-        # scan loop runs once per remaining point, and bytearray/list
-        # indexing with native ints is several times cheaper than numpy
-        # scalar extraction at that call rate.
-        status = bytearray(dataset.cardinality)
+        if container.by_subspace:
+            return _settled_scan(values, orders, stop_point, masks, container, counter)
         masks_list = masks.tolist()
-        order_lists = [order.tolist() for order in orders]
-        stop_list = stop_point.tolist()
-        cursors = [0] * d
-        dim_sky_count = [0] * d
-        open_dims = set(range(d))
-        skyline: list[int] = []
         batched = self.batched
 
-        def select(k: int) -> tuple[int, int]:
-            return (dim_sky_count[k], k)
-
-        # The breadth-first choice min(open_dims, key=select) only changes
-        # when a dimension's skyline count grows or a dimension closes, so
-        # the selection is cached across the (majority of) iterations that
-        # change neither — the choice sequence is identical.
-        chosen = -1
-        while open_dims:
-            if chosen < 0:
-                chosen = min(open_dims, key=select)
-            dim = chosen
-            order_list = order_lists[dim]
-            length = len(order_list)
-            cursor = cursors[dim]
-            while cursor < length and status[order_list[cursor]] != _UNKNOWN:
-                cursor += 1
-            if cursor >= length:
-                cursors[dim] = cursor
-                open_dims.discard(dim)
-                chosen = -1
-                continue
-            point_id = order_list[cursor]
-            cursors[dim] = cursor + 1
-            point = values[point_id]
+        def test(point_id: int, dim: int) -> bool:
             mask = masks_list[point_id]
-
             _, block = container.candidates(mask)
-            bound = point[dim]
+            point = values[point_id]
             if batched:
                 undominated = (
-                    first_dominator_prefix(block, block[:, dim], bound, point, counter)
+                    first_dominator_prefix(block, block[:, dim], point[dim], point, counter)
                     == -1
                 )
             else:
                 if block.shape[0]:
-                    prefix = block[:, dim] <= bound
-                    block = block[prefix]
+                    block = block[block[:, dim] <= point[dim]]
                     if block.shape[0]:
                         block = block[np.argsort(block[:, dim], kind="stable")]
                 undominated = first_dominator(block, point, counter) == -1
             if undominated:
-                status[point_id] = _SKYLINE
-                skyline.append(point_id)
                 container.add(point_id, mask)
-                dim_sky_count[dim] += 1
-                chosen = -1
-            else:
-                status[point_id] = _DOMINATED
+            return undominated
 
-            if bound > stop_list[dim]:
-                # The cursor passed the stop point in this dimension; once
-                # that holds in every dimension, all unvisited points are
-                # strictly worse than the stop point everywhere.
-                open_dims.discard(dim)
-                chosen = -1
+        return _traverse(values, orders, stop_point, test)
 
-        return skyline
+
+def _traverse(
+    values: np.ndarray,
+    orders: list[np.ndarray],
+    stop_point: np.ndarray,
+    test: Callable[[int, int], bool],
+) -> list[int]:
+    """The breadth-first scan; ``test(point_id, dim)`` classifies a point.
+
+    Always advances the open dimension with the smallest dimension skyline
+    and visits its next unclassified point; a dimension closes when its
+    cursor runs out or passes the stop point.  Returns the skyline ids in
+    visit order.
+    """
+    d = len(orders)
+    # Plain-Python data structures for the per-point bookkeeping: the
+    # scan loop runs once per remaining point, and bytearray/list
+    # indexing with native ints is several times cheaper than numpy
+    # scalar extraction at that call rate.
+    status = bytearray(values.shape[0])
+    order_lists = [order.tolist() for order in orders]
+    bound_lists = [values[order, dim].tolist() for dim, order in enumerate(orders)]
+    stop_list = stop_point.tolist()
+    cursors = [0] * d
+    dim_sky_count = [0] * d
+    open_dims = list(range(d))  # ascending: min() breaks count ties by index
+    skyline: list[int] = []
+
+    # The breadth-first choice only changes when a dimension's skyline
+    # count grows or a dimension closes, so the selection is cached across
+    # the (majority of) iterations that change neither — the choice
+    # sequence is identical.
+    chosen = -1
+    while open_dims:
+        if chosen < 0:
+            chosen = min(open_dims, key=dim_sky_count.__getitem__)
+        dim = chosen
+        order_list = order_lists[dim]
+        length = len(order_list)
+        cursor = cursors[dim]
+        while cursor < length and status[order_list[cursor]] != _UNKNOWN:
+            cursor += 1
+        if cursor >= length:
+            cursors[dim] = cursor
+            open_dims.remove(dim)
+            chosen = -1
+            continue
+        point_id = order_list[cursor]
+        cursors[dim] = cursor + 1
+        if test(point_id, dim):
+            status[point_id] = _SKYLINE
+            skyline.append(point_id)
+            dim_sky_count[dim] += 1
+            chosen = -1
+        else:
+            status[point_id] = _DOMINATED
+
+        if bound_lists[dim][cursor] > stop_list[dim]:
+            # The cursor passed the stop point in this dimension; once
+            # that holds in every dimension, all unvisited points are
+            # strictly worse than the stop point everywhere.
+            open_dims.remove(dim)
+            chosen = -1
+
+    return skyline
+
+
+def _settled_scan(
+    values: np.ndarray,
+    orders: list[np.ndarray],
+    stop_point: np.ndarray,
+    masks: np.ndarray,
+    container: SkylineContainer,
+    counter: DominanceCounter,
+) -> list[int]:
+    """SDI over a ``by_subspace`` container, settled one subspace at a time.
+
+    Survivor status does not depend on the visit order
+    (:mod:`repro.core.settle`), so the groups are settled first, in the
+    dimension-0 order, which is monotone.  The traversal is then replayed
+    with every point's status known, and each visited point is charged
+    what :func:`~repro.dominance.first_dominator_prefix` charges it over
+    its candidates in visit order: see :func:`_prefix_charges`.
+    """
+    held = np.asarray(container.ids(), dtype=np.intp)
+    walks: dict[int, np.ndarray] = {}
+    survives, _ = settle(values, orders[0], masks, container, walks)
+    alive = np.zeros(values.shape[0], dtype=bool)
+    alive[orders[0][survives]] = True
+    alive_list: list[bool] = alive.tolist()
+    visits: list[int] = []
+    visit_dims: list[int] = []
+
+    def replay(point_id: int, dim: int) -> bool:
+        visits.append(point_id)
+        visit_dims.append(dim)
+        return alive_list[point_id]
+
+    skyline = _traverse(values, orders, stop_point, replay)
+    visited = np.array(visits, dtype=np.intp)
+    dims = np.array(visit_dims, dtype=np.intp)
+    counter.add(_prefix_charges(values, held, visited, dims, alive, masks, walks))
+    return skyline
+
+
+def _prefix_charges(
+    values: np.ndarray,
+    held: np.ndarray,
+    visits: np.ndarray,
+    dims: np.ndarray,
+    alive: np.ndarray,
+    masks: np.ndarray,
+    walks: dict[int, np.ndarray],
+) -> int:
+    """The dominance tests SDI's per-point scan charges the ``visits``.
+
+    A point visited through dimension ``k`` has as candidates its group's
+    walk plus its group's survivors, inserted before it, in ``(value in
+    k, insertion)`` order.  A dominated point is charged the rank of its
+    first dominator in that order plus one: every candidate ahead of that
+    dominator was inserted before the point (its value in ``k`` is
+    smaller, so the cursor passed it first, or it ties and was inserted
+    before the dominator).  A survivor is charged its own rank.
+
+    Both are read off one ``(value, insertion)`` order per dimension over
+    every stored point.  A point's first dominator in it is its first
+    dominating candidate, since every dominator's subspace is a superset
+    of the point's (Lemma 5.1); its rank counts the group's candidates
+    ahead of it.
+    """
+    stored = np.concatenate([held, visits[alive[visits]]])
+    inserted = np.arange(stored.size)  # held points first, then visit order
+    local = np.empty(values.shape[0], dtype=np.intp)
+    local[stored] = inserted
+    rows = values[stored]
+    d = values.shape[1]
+    by_dim = np.stack([np.lexsort((inserted, rows[:, k])) for k in range(d)])
+    position = np.empty_like(by_dim)  # each stored point's place in by_dim[k]
+    np.put_along_axis(position, by_dim, inserted[None, :], axis=1)
+    at = np.empty(visits.size, dtype=np.intp)
+    kept = alive[visits]
+    at[kept] = position[dims[kept], local[visits[kept]]]
+    for k in range(d):
+        these = np.flatnonzero(~kept & (dims == k))
+        if these.size:
+            cols = rows[by_dim[k]]
+            points = values[visits[these]]
+            ends = np.searchsorted(cols[:, k], points[:, k], side="right")
+            at[these] = first_hits(points, cols, ends)
+    # Per group: how many of its candidates lie at or before each place.
+    total = -int(np.count_nonzero(kept))  # a survivor's own place is no test
+    member = np.zeros(stored.size, dtype=bool)
+    for mask, group in subspace_groups(masks[visits]):
+        member[local[walks[mask]]] = True
+        member[local[visits[group[kept[group]]]]] = True
+        group_dims = dims[group]
+        present = np.unique(group_dims)
+        ahead = np.cumsum(member[by_dim[present]], axis=1, dtype=np.int32)
+        total += int(ahead[np.searchsorted(present, group_dims), at[group]].sum())
+        member[:] = False
+    return total

@@ -45,7 +45,7 @@ from repro.analysis.report import (
     render_text,
     summarize,
 )
-from repro.analysis.rules import ALL_RULES
+from repro.analysis.rules import ALL_RULES, active_rules
 
 #: Discovered in the working directory unless --baseline/--no-baseline says
 #: otherwise, so `make lint` and CI pick the checked-in debt up implicitly.
@@ -211,17 +211,21 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     select = args.select.split(",") if args.select else None
     findings: list[Finding] = []
+    ran: set[str] = set()  # the rules this run ran, for stale baseline entries
 
     if not args.no_lint:
         try:
             findings += lint_paths(args.paths, select=select, root=Path.cwd())
         except (FileNotFoundError, ValueError) as exc:
             parser.error(str(exc))  # exits 2
+        ran.update(rule.code for rule in active_rules(select))
 
     if args.contracts or args.strict:
         findings += run_contract_checks()
+        ran.add("contract")
     if args.differential or args.strict:
         findings += differential_findings()
+        ran.add("differential")
 
     if args.write_baseline:
         path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
@@ -242,7 +246,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FileNotFoundError, ValueError) as exc:
         parser.error(str(exc))
     if baseline is not None:
-        result = baseline.apply(findings)
+        result = baseline.apply(findings, ran)
         reported = result.reported
         suppressed_count = len(result.suppressed)
     else:

@@ -19,9 +19,10 @@ Baseline entries are *demanding*:
   does not suppress its finding (the finding is reported with a pointer
   to the baseline file) — regenerating the baseline is never enough, a
   human has to write down why the debt is acceptable;
-- an entry that no longer matches any finding is *stale* and reported as
-  a warning (so ``--strict`` fails until ``make analyze-baseline`` prunes
-  it).
+- an entry that no longer matches any finding of a run that ran its rule
+  is *stale* and reported as a warning (so ``--strict`` fails until
+  ``make analyze-baseline`` prunes it); a run that skipped the rule
+  (``--no-lint``, or ``--select`` without it) cannot tell.
 """
 
 from __future__ import annotations
@@ -136,8 +137,14 @@ class Baseline:
     entries: dict[str, BaselineEntry]
     path: Path | None = None
 
-    def apply(self, findings: Sequence[Finding]) -> BaselineResult:
-        """Split ``findings`` into new / suppressed / unjustified + stale."""
+    def apply(
+        self, findings: Sequence[Finding], ran: Iterable[str] | None = None
+    ) -> BaselineResult:
+        """Split ``findings`` into new / suppressed / unjustified + stale.
+
+        ``ran`` names the rules whose findings ``findings`` holds (default:
+        every rule); only an unmatched entry of one of them is stale.
+        """
         new: list[Finding] = []
         suppressed: list[tuple[Finding, BaselineEntry]] = []
         unjustified: list[Finding] = []
@@ -163,10 +170,11 @@ class Baseline:
                         snippet=finding.snippet,
                     )
                 )
+        ran_rules = None if ran is None else set(ran)
         stale = tuple(
             entry
             for digest, entry in sorted(self.entries.items())
-            if digest not in matched
+            if digest not in matched and (ran_rules is None or entry.rule in ran_rules)
         )
         return BaselineResult(
             new=tuple(new),

@@ -6,10 +6,10 @@ and against independent brute-force oracles, the invariants the subset
 approach rests on:
 
 - **Lemma 5.1** — for a testing point with maximum dominating subspace
-  ``D_q``, :meth:`SkylineIndex.query` must return *exactly* the stored
-  points whose subspace is a superset of ``D_q``; equivalently, the
-  superset-filtered subset of what a :class:`ListContainer` would return
-  on identical ``add`` traffic.
+  ``D_q``, :meth:`SkylineIndex.query` and the group walk
+  :meth:`SkylineIndex.walk` must return *exactly* the stored points whose
+  subspace is a superset of ``D_q``: the superset filter over every
+  stored point's mask.
 - **Algorithm 1** — Merge must assign every surviving point the true
   maximum dominating subspace ``D_{q<S} = ⋃ D_{q<p}`` over the selected
   pivots, the subspace must be non-empty, and no survivor may be weakly
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.report import Finding, Severity
-from repro.core.container import ListContainer, SkylineContainer, SubsetContainer
+from repro.core.container import SkylineContainer, SubsetContainer
 from repro.core.merge import merge
 from repro.core.subspace import maximum_dominating_subspace
 from repro.data import generate
@@ -46,49 +46,58 @@ class ContractViolation(ReproError):
 class CheckedSubsetContainer(SkylineContainer):
     """A :class:`SubsetContainer` that re-verifies Lemma 5.1 on every query.
 
-    Maintains a shadow :class:`ListContainer` plus the stored masks; each
-    ``candidates(mask)`` call brute-forces the expected superset filter
-    over the shadow store and raises :class:`ContractViolation` the moment
-    the subset index diverges — either by returning a point it must not
-    (unsound pruning downstream is *masked*, wrong results are possible)
-    or by omitting one (unsound: a true dominator is never tested).
+    Keeps every stored point's mask; each ``candidates(mask)`` call and
+    each group ``walk(mask)`` brute-forces the expected superset filter
+    over them and raises :class:`ContractViolation` the moment the subset
+    index diverges — either by returning a point it must not (unsound
+    pruning downstream is *masked*, and a wrong charge follows) or by
+    omitting one (unsound: a true dominator is never tested).  Like the
+    container it wraps it groups by subspace, so a boosted scan over it
+    runs, and checks, the grouped settlement.
     """
+
+    by_subspace = True
 
     def __init__(self, values: np.ndarray, d: int) -> None:
         self._subset = SubsetContainer(values, d)
-        self._shadow = ListContainer(values)
         self._masks: dict[int, int] = {}
         self.queries_checked = 0
 
     def add(self, point_id: int, mask: int) -> None:
         self._subset.add(point_id, mask)
-        self._shadow.add(point_id, mask)
         self._masks[point_id] = mask
+
+    def add_many(self, point_ids: list[int], mask: int) -> None:
+        self._subset.add_many(point_ids, mask)
+        self._masks.update(dict.fromkeys(point_ids, mask))
 
     def candidates(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
         ids, block = self._subset.candidates(mask)
-        shadow_ids = set(self._shadow.ids())
-        got = {int(i) for i in ids}
+        self._check(mask, ids, "SkylineIndex.query")
+        return ids, block
+
+    def walk(self, mask: int) -> np.ndarray:
+        ids = self._subset.walk(mask)
+        self._check(mask, ids, "SkylineIndex.walk")
+        return ids
+
+    def _check(self, mask: int, ids: np.ndarray, source: str) -> None:
+        returned = [int(i) for i in ids]
+        got = set(returned)
         expected = {
             pid
             for pid, stored_mask in self._masks.items()
             if bitset.is_superset(stored_mask, mask)
         }
         self.queries_checked += 1
-        if got != expected:
+        if got != expected or len(returned) != len(got):
             extra = sorted(got - expected)
             missing = sorted(expected - got)
             raise ContractViolation(
-                "Lemma 5.1 violated by SkylineIndex.query: for subspace "
-                f"{mask:#x} expected candidates {sorted(expected)}, got "
-                f"{sorted(got)} (extra={extra}, missing={missing})"
+                f"Lemma 5.1 violated by {source}: for subspace {mask:#x} "
+                f"expected candidates {sorted(expected)}, got {sorted(returned)} "
+                f"(extra={extra}, missing={missing})"
             )
-        if not got <= shadow_ids:
-            raise ContractViolation(
-                "subset container returned ids never added to the store: "
-                f"{sorted(got - shadow_ids)}"
-            )
-        return ids, block
 
     def ids(self) -> list[int]:
         return self._subset.ids()
@@ -101,9 +110,10 @@ def verify_index_superset_filter(dataset: Dataset, sigma: int | None = None) -> 
     """End-to-end Lemma 5.1 check: boosted SFS scan with a checked container.
 
     Runs Merge, then the SFS scan phase with a
-    :class:`CheckedSubsetContainer`, then cross-checks the final skyline
-    against a brute-force oracle.  Returns the number of queries verified;
-    raises :class:`ContractViolation` on any divergence.
+    :class:`CheckedSubsetContainer` (the grouped settlement, one checked
+    walk per subspace), then cross-checks the final skyline against a
+    brute-force oracle.  Returns the number of walks verified; raises
+    :class:`ContractViolation` on any divergence.
     """
     from repro.algorithms.sfs import SFS
     from repro.core.stability import default_threshold

@@ -23,8 +23,8 @@ depends on for *correctness of its reported numbers*, not just style:
   :mod:`repro.obs.clock` and the tracer instead.
 - **RPR007** — no direct ``SkylineIndex(...)`` construction outside
   ``core/`` and ``engine/``; the container (``SubsetContainer``) is the
-  sanctioned construction point, so a hand-built index skips the fused
-  candidate path and its accounting.
+  sanctioned construction point, so a hand-built index skips the grouped
+  scan's walks, the candidate gather and their accounting.
 
 RPR008–RPR010 are *project* rules (:class:`ProjectRule`): they run over
 the whole-program model from :mod:`repro.analysis.project` — symbol
@@ -380,9 +380,9 @@ class HandBuiltIndex(Rule):
     severity = Severity.ERROR
     description = (
         "direct SkylineIndex(...) construction outside core/ and engine/; go "
-        "through SubsetContainer (or the engine) so the fused candidate "
-        "gather and index accounting stay wired — suppress deliberate "
-        "low-level wiring with `# noqa: RPR007`"
+        "through SubsetContainer (or the engine) so the group walks, the "
+        "candidate gather and index accounting stay wired — suppress "
+        "deliberate low-level wiring with `# noqa: RPR007`"
     )
 
     def applies_to(self, module: ModuleInfo) -> bool:
@@ -403,8 +403,8 @@ class HandBuiltIndex(Rule):
                     module,
                     node.lineno,
                     "`SkylineIndex` constructed directly — use "
-                    "SubsetContainer so candidate rows come from the fused "
-                    "index cache",
+                    "SubsetContainer, which walks it and gathers the "
+                    "candidate rows",
                 )
 
 

@@ -6,8 +6,10 @@ The application sketch from Section 1 of the paper:
    point its maximum dominating subspace;
 2. run the host sorting-based skyline algorithm over the non-pruned points,
    with two new actions: confirmed skyline points are ``put`` into the
-   subset index under their subspace, and each testing point retrieves only
-   the comparable skyline points via a subset ``query``;
+   subset index under their subspace, and each testing point is tested
+   only against the comparable skyline points a subset ``query`` returns —
+   one index walk per subspace, since the host settles its points one
+   subspace group at a time (:mod:`repro.core.settle`);
 3. the final skyline is the merge-phase skyline plus the scan-phase skyline.
 
 Merge guarantees that no remaining point is dominated by (or equal to) a
@@ -180,10 +182,9 @@ class SubsetBoost:
         Stability threshold for Merge; defaults to the paper's rounded
         ``d/3`` heuristic at compute time.
     memoize:
-        Enable the subset index's per-subspace cache of candidate ids and
-        gathered rows (default).  ``False`` is the scalar reference path:
-        identical skyline and dominance-test accounting, used by the
-        differential tests and the throughput benchmark baseline.
+        Forwarded to the subset index's per-subspace query cache.  A
+        boosted scan walks each subspace once and never reads the cache,
+        so this changes neither its result nor its counters.
 
     >>> from repro.algorithms.sfs import SFS
     >>> from repro.data import generate

@@ -13,12 +13,16 @@ interface plus its two implementations:
   subspace, so provably-incomparable skyline points are never tested.
 
 Both return candidates as an ``(ids, values_block)`` pair so hosts can run
-the vectorised exact-count dominance kernel on the block directly.  Blocks
-are column-backed: ``block`` is the transpose of a ``(d, capacity)``
-buffer, so the kernel's per-row reductions run over ``d`` contiguous
-columns.  The blocks are also *stable-prefix*: between two ``add`` calls
-the returned block is identical, and an ``add`` only ever appends rows, so
-a block handed out earlier never changes.
+the vectorised exact-count dominance kernel on the block directly.  The
+list's blocks are column-backed: ``block`` is the transpose of a ``(d,
+capacity)`` buffer, so the kernel's per-row reductions run over ``d``
+contiguous columns.  Blocks are *stable-prefix*: between two ``add`` calls
+the returned block is identical, and an ``add`` only ever appends rows.
+
+A container whose candidates depend on the testing point's subspace says
+so with :attr:`SkylineContainer.by_subspace`; a host scan over it settles
+its points one subspace group at a time (:mod:`repro.core.settle`)
+instead of asking for each point's candidates.
 """
 
 from __future__ import annotations
@@ -28,13 +32,20 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.core.subset_index import CandidateBuffer, SkylineIndex
+from repro.core.subset_index import SkylineIndex
 from repro.dominance import first_dominator
+from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 
 
 class SkylineContainer(ABC):
     """Store for confirmed skyline points during a presorted scan."""
+
+    #: Whether :meth:`candidates` depends on the testing point's subspace.
+    #: Such a container also answers :meth:`walk` and :meth:`add_many`, and
+    #: host scans over it settle their points one subspace group at a
+    #: time; over any other container they keep the per-point loop.
+    by_subspace = False
 
     @abstractmethod
     def add(self, point_id: int, mask: int) -> None:
@@ -51,13 +62,68 @@ class SkylineContainer(ABC):
         return identical arrays (stable-prefix contract).
         """
 
+    def walk(self, mask: int) -> np.ndarray:
+        """Ids of the stored points that may dominate a point of ``mask``,
+        in no particular order: one index walk (``by_subspace`` only)."""
+        raise NotImplementedError(f"{type(self).__name__} does not group by subspace")
+
+    def add_many(self, point_ids: list[int], mask: int) -> None:
+        """:meth:`add` for several points of one subspace, in order
+        (``by_subspace`` only)."""
+        raise NotImplementedError(f"{type(self).__name__} does not group by subspace")
+
     @abstractmethod
     def ids(self) -> list[int]:
-        """All stored skyline point ids."""
+        """All stored skyline point ids, in insertion order."""
 
     @abstractmethod
     def __len__(self) -> int:
         """Number of stored points."""
+
+
+class CandidateBuffer:
+    """Candidate ids and their rows, grown append-only in lockstep.
+
+    The ids live in an amortised-doubling ``intp`` buffer, and ``cols``
+    holds the gathered rows column-major, ``(d, capacity)``: a dominance
+    test then reduces over ``d`` contiguous columns.  Callers receive views
+    of the buffer prefixes — appends only ever touch positions beyond every
+    view handed out so far, and growth moves to a fresh buffer, so a view
+    handed out never changes.
+    """
+
+    __slots__ = ("buf", "cols", "size")
+
+    def __init__(self, d: int) -> None:
+        self.size = 0
+        self.buf = np.empty(4, dtype=np.intp)
+        self.cols = np.empty((d, 4))
+
+    def extend(self, new_ids: np.ndarray, values: np.ndarray) -> None:
+        grown = self.size + new_ids.shape[0]
+        if grown > self.buf.shape[0]:
+            capacity = max(grown, 2 * self.buf.shape[0])
+            buf = np.empty(capacity, dtype=np.intp)
+            buf[: self.size] = self.buf[: self.size]
+            self.buf = buf
+            cols = np.empty((self.cols.shape[0], capacity))
+            cols[:, : self.size] = self.cols[:, : self.size]
+            self.cols = cols
+        self.buf[self.size : grown] = new_ids
+        self.cols[:, self.size : grown] = values[new_ids].T
+        self.size = grown
+
+    def ids_list(self) -> list[int]:
+        return self.buf[: self.size].tolist()
+
+    def array(self) -> np.ndarray:
+        view = self.buf[: self.size]
+        view.flags.writeable = False
+        return view
+
+    def rows(self) -> np.ndarray:
+        """The rows as a ``(size, d)`` view: ``rows()[k]`` is ``values[ids[k]]``."""
+        return self.cols[:, : self.size].T
 
 
 class ListContainer(SkylineContainer):
@@ -69,7 +135,7 @@ class ListContainer(SkylineContainer):
 
     def __init__(self, values: np.ndarray) -> None:
         self._values = values
-        self._stored = CandidateBuffer([], values)
+        self._stored = CandidateBuffer(values.shape[1])
 
     def add(self, point_id: int, mask: int) -> None:
         self._stored.extend(np.array((point_id,), dtype=np.intp), self._values)
@@ -89,24 +155,27 @@ class SubsetContainer(SkylineContainer):
 
     ``candidates(mask)`` returns only the stored points whose maximum
     dominating subspace is a superset of ``mask`` — the minimal correct
-    candidate set.  Index accesses are recorded on the counter separately
-    from dominance tests.
+    candidate set — and :meth:`walk` the same ids from one unmemoized tree
+    walk.  Index accesses are recorded on the counter separately from
+    dominance tests.
 
     Parameters
     ----------
     values:
         The dataset's value matrix, or ``None`` for an *id-only*
         container: subset-index maintenance (:meth:`add`, :meth:`remove`,
-        :meth:`clear`, :meth:`query_ids`) works normally, but
-        :meth:`candidates` — which gathers coordinate blocks — raises.
+        :meth:`clear`, :meth:`query_ids`, :meth:`walk`) works normally,
+        but :meth:`candidates` — which gathers coordinate rows — raises.
         The streaming extension uses this mode: it owns its own row
         storage (points arrive one at a time).
     memoize:
-        Forwarded to the index, whose per-subspace cache then also holds
-        the gathered candidate rows.  ``False`` reproduces the scalar
-        reference path (fresh traversal + fresh gather per query) with
-        bit-identical results and dominance-test accounting.
+        Forwarded to the index's per-subspace cache of :meth:`query_ids`
+        and :meth:`candidates`.  ``False`` reproduces the scalar reference
+        path (a fresh traversal per query) with bit-identical results.
+        Grouped scans walk each subspace once and never use the cache.
     """
+
+    by_subspace = True
 
     def __init__(
         self,
@@ -115,7 +184,8 @@ class SubsetContainer(SkylineContainer):
         counter: DominanceCounter | None = None,
         memoize: bool = True,
     ) -> None:
-        self._index = SkylineIndex(d, memoize=memoize, values=values)
+        self._values = values
+        self._index = SkylineIndex(d, memoize=memoize)
         self._counter = counter
         # Insertion-ordered, so ``ids()`` keeps the add order and
         # ``remove`` is O(1).
@@ -129,6 +199,10 @@ class SubsetContainer(SkylineContainer):
     def add(self, point_id: int, mask: int) -> None:
         self._index.put(point_id, mask)
         self._all_ids[point_id] = None
+
+    def add_many(self, point_ids: list[int], mask: int) -> None:
+        self._index.put_many(point_ids, mask)
+        self._all_ids.update(dict.fromkeys(point_ids))
 
     def remove(self, point_id: int, mask: int) -> None:
         """Remove a point previously :meth:`add`-ed under ``mask``.
@@ -153,8 +227,18 @@ class SubsetContainer(SkylineContainer):
         """
         return self._index.query(mask, self._counter)
 
+    def walk(self, mask: int) -> np.ndarray:
+        return self._index.walk(mask, self._counter)
+
     def candidates(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._index.candidates(mask, self._counter)
+        if self._values is None:
+            raise InvalidParameterError(
+                "candidates() needs the value matrix; this container was "
+                "built id-only (values=None) — use query_ids() instead"
+            )
+        ids = np.array(self._index.query(mask, self._counter), dtype=np.intp)
+        ids.flags.writeable = False
+        return ids, self._values.T.take(ids, axis=1).T  # column-backed, like the list's
 
     def ids(self) -> list[int]:
         return list(self._all_ids)

@@ -93,9 +93,9 @@ class MergeResult:
     def mask_of(self, point_id: int) -> int:
         """The maximum dominating subspace of a remaining point.
 
-        ``O(1)`` after a lazily built id → position map (the boosted scan
-        looks masks up per testing point; a linear ``np.nonzero`` scan per
-        lookup would be quadratic overall).
+        ``O(1)`` after a lazily built id → position map (a caller that
+        looks masks up per testing point would otherwise pay a linear
+        ``np.nonzero`` scan per lookup, quadratic overall).
         """
         if self._position_of is None:
             positions = {

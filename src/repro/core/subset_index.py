@@ -34,18 +34,17 @@ generation-based invalidation:
   are the hot path.
 
 Query results are canonically ordered by **insertion sequence** (the order
-points were ``put``), which is what makes log-repair a pure append and is
-also the natural candidate order for sorted scans: earlier-confirmed
-skyline points have lower sort keys and are the strongest dominators.
-Memoized and unmemoized queries return bit-identical lists, so every
-dominance test charged downstream is identical; only
+points were ``put``), which is what makes log-repair a pure append.
+Memoized and unmemoized queries return bit-identical lists; only
 ``index_nodes_visited`` differs (a cache hit touches no tree nodes).
 
-Built with the dataset's value matrix, the index also *fuses* the
-candidate-row gather into the cache (:meth:`SkylineIndex.candidates`):
-each memoized entry carries the gathered rows beside its ids, stored
-column-major and repaired together from the put-log suffix, so a boosted
-scan's testing point costs one dict probe for both.
+Group walks
+-----------
+A boosted scan settles its testing points one subspace at a time
+(:mod:`repro.core.settle`), so it asks each subspace once:
+:meth:`SkylineIndex.walk` is that one tree walk, unordered and without a
+cache entry, and :meth:`SkylineIndex.put_many` stores a group of points of
+one subspace with one path walk.
 """
 
 from __future__ import annotations
@@ -61,13 +60,13 @@ from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
 
-#: Under an enabled tracer, one in this many index queries is timed and
-#: recorded as an ``index.query`` span.  Sampling bounds tracing overhead:
-#: a boosted scan issues one query per testing point, so tracing each one
-#: would dominate the cost being measured.
+#: Under an enabled tracer, one in this many index queries and walks is
+#: timed and recorded as an ``index.query`` span.  Sampling bounds tracing
+#: overhead: a per-point scan issues one query per testing point, so
+#: tracing each one would dominate the cost being measured.
 _TRACE_SAMPLE = 64
 
-_Result = TypeVar("_Result", list[int], tuple[np.ndarray, np.ndarray])
+_Result = TypeVar("_Result", list[int], np.ndarray)
 
 
 class _Node:
@@ -81,72 +80,17 @@ class _Node:
         self.children: dict[int, _Node] = {}
 
 
-class CandidateBuffer:
-    """Candidate ids and their rows, grown append-only in lockstep.
-
-    The ids live in an amortised-doubling ``intp`` buffer.  With a value
-    matrix, ``cols`` holds the gathered rows column-major, ``(d,
-    capacity)``: a dominance test then reduces over ``d`` contiguous
-    columns.  Callers receive views of the buffer prefixes — appends only
-    ever touch positions beyond every view handed out so far, and growth
-    moves to a fresh buffer, so a view handed out never changes.
-    """
-
-    __slots__ = ("buf", "cols", "size")
-
-    def __init__(self, ids: list[int], values: np.ndarray | None) -> None:
-        arr = np.asarray(ids, dtype=np.intp)
-        self.size = arr.shape[0]
-        self.buf = np.empty(max(4, self.size), dtype=np.intp)
-        self.buf[: self.size] = arr
-        self.cols: np.ndarray | None = None
-        if values is not None:
-            self.cols = np.empty((values.shape[1], self.buf.shape[0]))
-            self.cols[:, : self.size] = values[arr].T
-
-    def extend(self, new_ids: np.ndarray, values: np.ndarray | None) -> None:
-        grown = self.size + new_ids.shape[0]
-        if grown > self.buf.shape[0]:
-            capacity = max(grown, 2 * self.buf.shape[0])
-            buf = np.empty(capacity, dtype=np.intp)
-            buf[: self.size] = self.buf[: self.size]
-            self.buf = buf
-            if self.cols is not None:
-                cols = np.empty((self.cols.shape[0], capacity))
-                cols[:, : self.size] = self.cols[:, : self.size]
-                self.cols = cols
-        self.buf[self.size : grown] = new_ids
-        if self.cols is not None:
-            self.cols[:, self.size : grown] = values[new_ids].T  # type: ignore[index]
-        self.size = grown
-
-    def ids_list(self) -> list[int]:
-        return self.buf[: self.size].tolist()
-
-    def array(self) -> np.ndarray:
-        view = self.buf[: self.size]
-        view.flags.writeable = False
-        return view
-
-    def rows(self) -> np.ndarray:
-        """The rows as a ``(size, d)`` view: ``rows()[k]`` is ``values[ids[k]]``."""
-        return self.cols[:, : self.size].T  # type: ignore[index]
-
-
-class _CacheEntry(CandidateBuffer):
+class _CacheEntry:
     """Memoized result of one query subspace.
 
-    A :class:`CandidateBuffer` of the query's result, valid within one
-    index ``epoch``; ``log_pos`` marks how much of the index's put-log it
-    has incorporated.
+    The query's ids in insertion order, valid within one index ``epoch``;
+    ``log_pos`` marks how much of the index's put-log they incorporate.
     """
 
-    __slots__ = ("epoch", "log_pos")
+    __slots__ = ("ids", "epoch", "log_pos")
 
-    def __init__(
-        self, epoch: int, log_pos: int, ids: list[int], values: np.ndarray | None
-    ) -> None:
-        super().__init__(ids, values)
+    def __init__(self, epoch: int, log_pos: int, ids: list[int]) -> None:
+        self.ids = ids
         self.epoch = epoch
         self.log_pos = log_pos
 
@@ -159,13 +103,10 @@ class SkylineIndex:
     d:
         Dimensionality of the space; subspace masks must fit in ``d`` bits.
     memoize:
-        Keep the per-subspace result cache (default).  ``False`` forces a
-        full tree traversal on every query — the scalar reference path used
-        by the differential tests and the throughput benchmark baseline.
-    values:
-        Optional ``(n, d)`` value matrix the stored ids index.  When given,
-        :meth:`candidates` serves each query's ids together with their
-        gathered rows; ``None`` builds an id-only index.
+        Keep the per-subspace result cache of :meth:`query` (default).
+        ``False`` forces a full tree traversal on every query — the scalar
+        reference path used by the differential tests and the throughput
+        benchmark baseline.  :meth:`walk` never uses the cache.
 
     >>> idx = SkylineIndex(d=4)
     >>> idx.put(7, subspace=0b0011)   # D = {0, 1}, stored under D^¬ = {2, 3}
@@ -176,14 +117,11 @@ class SkylineIndex:
     [9]
     """
 
-    def __init__(
-        self, d: int, memoize: bool = True, values: np.ndarray | None = None
-    ) -> None:
+    def __init__(self, d: int, memoize: bool = True) -> None:
         if d < 1:
             raise InvalidParameterError(f"dimensionality must be >= 1, got {d}")
         self._d = d
         self._memoize = memoize
-        self._values = values
         self._root = _Node()
         self._size = 0
         self._seq = 0
@@ -238,31 +176,32 @@ class SkylineIndex:
         creating nodes on demand, and appends the point to the final node.
         A full-space subspace lands on the root node (empty path).
         """
-        reversed_mask = self._reversed(subspace)
+        self.put_many([point_id], subspace)
+
+    def put_many(self, point_ids: list[int], subspace: int) -> None:
+        """:meth:`put` for several points of one subspace, in order: one path walk."""
         node = self._root
-        for dim in bitset.bits_of(reversed_mask):
+        for dim in bitset.bits_of(self._reversed(subspace)):
             child = node.children.get(dim)
             if child is None:
                 child = _Node()
                 node.children[dim] = child
             node = child
-        node.points.append(point_id)
-        node.seqs.append(self._seq)
-        self._seq += 1
-        self._size += 1
-        self._generation += 1
+        count = len(point_ids)
+        node.points.extend(point_ids)
+        node.seqs.extend(range(self._seq, self._seq + count))
+        self._seq += count
+        self._size += count
+        self._generation += count
         if self._memoize:
             n = self._log_size
-            if n == self._log_pids.shape[0]:
-                self._log_pids = np.concatenate(
-                    [self._log_pids, np.empty_like(self._log_pids)]
-                )
-                self._log_subs = np.concatenate(
-                    [self._log_subs, np.empty_like(self._log_subs)]
-                )
-            self._log_pids[n] = point_id
-            self._log_subs[n] = subspace
-            self._log_size = n + 1
+            if n + count > self._log_pids.shape[0]:
+                capacity = max(n + count, 2 * self._log_pids.shape[0])
+                self._log_pids = np.resize(self._log_pids, capacity)
+                self._log_subs = np.resize(self._log_subs, capacity)
+            self._log_pids[n : n + count] = point_ids
+            self._log_subs[n : n + count] = subspace
+            self._log_size = n + count
 
     def query(self, subspace: int, counter: DominanceCounter | None = None) -> list[int]:
         """Algorithms 3–4: all points whose subspace ⊇ ``subspace``.
@@ -277,47 +216,36 @@ class SkylineIndex:
             return self._traced(self._query, subspace, counter)
         return self._query(subspace, counter)
 
-    def candidates(
-        self, subspace: int, counter: DominanceCounter | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused query: ``(ids, rows)`` with the candidate rows gathered.
+    def walk(self, subspace: int, counter: DominanceCounter | None = None) -> np.ndarray:
+        """Algorithms 3–4 as one tree walk: the ids stored under supersets
+        of ``subspace``, as an ``intp`` array in no particular order.
 
-        ``ids`` is :meth:`query`'s result as a read-only ``intp`` array and
-        ``rows[k]`` is ``values[ids[k]]``; accounting is identical.  The
-        memoized path serves both from one cache probe, ``rows`` as the
-        transpose of a column-major buffer.  Requires an index built with
-        ``values``.
+        Records one query and its node visits on ``counter``, like an
+        unmemoized :meth:`query`, and neither reads nor builds a cache
+        entry: a grouped scan walks each subspace once.
         """
-        if self._values is None:
-            raise InvalidParameterError(
-                "candidates() needs the value matrix; this index was built "
-                "id-only (values=None) — use query() instead"
-            )
         if self._trace_every and self._sample():
-            return self._traced(self._candidates, subspace, counter)
-        return self._candidates(subspace, counter)
+            return self._traced(self._walk, subspace, counter)
+        return self._walk(subspace, counter)
 
     def _query(
         self, subspace: int, counter: DominanceCounter | None
     ) -> list[int]:
         if not self._memoize:
-            reversed_mask = self._reversed(subspace)
-            ids, visited = self._traverse(reversed_mask)
+            ids, visited = self._traverse(subspace)
             if counter is not None:
                 counter.add_query(visited)
             return ids
-        return self._entry(subspace, counter).ids_list()
+        return list(self._entry(subspace, counter).ids)
 
-    def _candidates(
-        self, subspace: int, counter: DominanceCounter | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if not self._memoize:
-            # The reference path: a tree walk, then a fresh gather.
-            ids = np.asarray(self._query(subspace, counter), dtype=np.intp)
-            ids.flags.writeable = False
-            return ids, self._values[ids]  # type: ignore[index]
-        entry = self._entry(subspace, counter)
-        return entry.array(), entry.rows()
+    def _walk(self, subspace: int, counter: DominanceCounter | None) -> np.ndarray:
+        nodes = self._nodes(subspace)
+        if counter is not None:
+            counter.add_query(len(nodes))
+        found: list[int] = []
+        for node in nodes:
+            found += node.points
+        return np.array(found, dtype=np.intp)
 
     def _traced(
         self,
@@ -327,12 +255,11 @@ class SkylineIndex:
     ) -> _Result:
         """Run one sampled query under the tracer as an ``index.query`` span."""
         result, elapsed = timed(lambda: fetch(subspace, counter))
-        ids = result[0] if isinstance(result, tuple) else result
         self._tracer.record(
             "index.query",
             elapsed,
             subspace=subspace,
-            results=len(ids),
+            results=len(result),
             sampled_1_in=self._trace_every,
         )
         return result
@@ -355,9 +282,7 @@ class SkylineIndex:
                 match = bitset.subset_of_many(
                     subspace, self._log_subs[pos:log_size]
                 )
-                new_ids = self._log_pids[pos:log_size][match]
-                if new_ids.shape[0]:
-                    entry.extend(new_ids, self._values)
+                entry.ids += self._log_pids[pos:log_size][match].tolist()
                 entry.log_pos = log_size
             self._hits += 1
             if counter is not None:
@@ -368,9 +293,8 @@ class SkylineIndex:
         if entry is not None:
             invalidated = 1
             self._invalidations += 1
-        reversed_mask = self._reversed(subspace)
-        ids, visited = self._traverse(reversed_mask)
-        entry = _CacheEntry(self._epoch, self._log_size, ids, self._values)
+        ids, visited = self._traverse(subspace)
+        entry = _CacheEntry(self._epoch, self._log_size, ids)
         self._cache[subspace] = entry
         self._misses += 1
         if counter is not None:
@@ -378,22 +302,27 @@ class SkylineIndex:
             counter.add_cache_miss(invalidated)
         return entry
 
-    def _traverse(self, reversed_mask: int) -> tuple[list[int], int]:
+    def _traverse(self, subspace: int) -> tuple[list[int], int]:
         """Full tree walk: insertion-ordered ids plus nodes visited."""
+        nodes = self._nodes(subspace)
         collected: list[tuple[int, int]] = []
-        visited = self._collect(self._root, reversed_mask, collected)
+        for node in nodes:
+            collected.extend(zip(node.seqs, node.points))
         collected.sort()
-        return [point_id for _, point_id in collected], visited
+        return [point_id for _, point_id in collected], len(nodes)
 
-    def _collect(
-        self, node: _Node, reversed_mask: int, out: list[tuple[int, int]]
-    ) -> int:
-        out.extend(zip(node.seqs, node.points))
-        visited = 1
-        for dim, child in node.children.items():
-            if bitset.has_dim(reversed_mask, dim):
-                visited += self._collect(child, reversed_mask, out)
-        return visited
+    def _nodes(self, subspace: int) -> list[_Node]:
+        """The nodes a query for ``subspace`` visits: every root path that
+        uses only dimensions of the reversed subspace."""
+        reversed_mask = self._reversed(subspace)
+        nodes = [self._root]
+        for node in nodes:  # breadth-first: the loop reaches appended nodes
+            nodes += [
+                child
+                for dim, child in node.children.items()
+                if bitset.has_dim(reversed_mask, dim)
+            ]
+        return nodes
 
     def _reversed(self, subspace: int) -> int:
         try:

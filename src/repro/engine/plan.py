@@ -40,7 +40,8 @@ class Plan:
     pivot_strategy:
         Merge pivot selection strategy.
     memoize:
-        Whether the subset index's per-subspace caches are enabled.
+        Whether the subset index's per-subspace query cache is enabled.
+        A boosted scan walks each subspace once and never reads it.
     workers:
         Process count for block-parallel execution; ``1`` is sequential.
     parallel_strategy:

@@ -156,6 +156,36 @@ class TestBaseline:
         assert "stale baseline entry" in captured.out
         assert "1 warning" in captured.err
 
+    @pytest.mark.parametrize("flags", [["--no-lint"], ["--select", "RPR002"]])
+    def test_a_rule_that_did_not_run_leaves_its_entries_alone(
+        self, tmp_path, capsys, flags
+    ):
+        (tmp_path / "bad.py").write_text(VIOLATING)
+        main(["--write-baseline", str(tmp_path)])
+        baseline = tmp_path / "analysis-baseline.json"
+        payload = json.loads(baseline.read_text())
+        payload["entries"][0]["reason"] = "still matches the RPR001 finding"
+        baseline.write_text(json.dumps(payload))
+        capsys.readouterr()
+        # Neither run checks RPR001, so neither can tell its entry is stale.
+        assert main([*flags, str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "stale baseline entry" not in captured.out
+        assert "clean" in captured.err
+
+    def test_an_obsolete_entry_is_stale_when_its_rule_ran(self, tmp_path, capsys):
+        (tmp_path / "bad.py").write_text(VIOLATING)
+        main(["--write-baseline", str(tmp_path)])
+        baseline = tmp_path / "analysis-baseline.json"
+        payload = json.loads(baseline.read_text())
+        payload["entries"][0]["reason"] = "was justified once"
+        baseline.write_text(json.dumps(payload))
+        (tmp_path / "bad.py").write_text(CLEAN)  # the finding is gone
+        for flags in ([], ["--select", "RPR001"]):
+            capsys.readouterr()
+            assert main([*flags, str(tmp_path)]) == 0  # a warning
+            assert "stale baseline entry" in capsys.readouterr().out
+
     def test_no_baseline_reports_everything(self, tmp_path):
         (tmp_path / "bad.py").write_text(VIOLATING)
         main(["--write-baseline", str(tmp_path)])

@@ -28,19 +28,10 @@ class TestCheckedContainer:
         assert sorted(container.ids()) == [0, 1]
 
     def test_detects_overbroad_query(self, monkeypatch):
-        # Sabotage the production query path (``SkylineIndex.candidates``
-        # backs the container): return every stored point regardless of mask.
-        def everything(self, subspace, counter=None):
-            out = []
-            stack = [self._root]
-            while stack:
-                node = stack.pop()
-                out.extend(node.points)
-                stack.extend(node.children.values())
-            ids = np.asarray(out, dtype=np.intp)
-            return ids, self._values[ids]
-
-        monkeypatch.setattr(SkylineIndex, "candidates", everything)
+        # Sabotage the query path (``SkylineIndex.query`` backs the
+        # container's candidates): return every stored point regardless of
+        # mask.
+        monkeypatch.setattr(SkylineIndex, "query", _everything)
         values = np.array([[0.1, 0.9], [0.9, 0.1]])
         container = CheckedSubsetContainer(values, d=2)
         container.add(0, 0b01)
@@ -49,13 +40,12 @@ class TestCheckedContainer:
             container.candidates(0b01)
 
     def test_detects_lossy_query(self, monkeypatch):
-        original = SkylineIndex.candidates
+        original = SkylineIndex.query
 
         def lossy(self, subspace, counter=None):
-            ids, rows = original(self, subspace, counter)
-            return ids[:-1], rows[:-1]
+            return original(self, subspace, counter)[:-1]
 
-        monkeypatch.setattr(SkylineIndex, "candidates", lossy)
+        monkeypatch.setattr(SkylineIndex, "query", lossy)
         values = np.array([[0.1, 0.9], [0.9, 0.1]])
         container = CheckedSubsetContainer(values, d=2)
         container.add(0, 0b01)
@@ -78,17 +68,42 @@ class TestEndToEnd:
         assert findings == []
 
     def test_run_contract_checks_reports_sabotage(self, monkeypatch):
-        def everything(self, subspace, counter=None):
-            out = []
-            stack = [self._root]
-            while stack:
-                node = stack.pop()
-                out.extend(node.points)
-                stack.extend(node.children.values())
-            ids = np.asarray(out, dtype=np.intp)
-            return ids, self._values[ids]
-
-        monkeypatch.setattr(SkylineIndex, "candidates", everything)
+        # The boosted scans walk the index once per subspace.
+        monkeypatch.setattr(
+            SkylineIndex, "walk", lambda self, subspace, counter=None: np.array(
+                _everything(self, subspace), dtype=np.intp
+            )
+        )
         findings = run_contract_checks(kinds=("UI",), n=80, d=4, seeds=(1,))
         assert findings
         assert all(f.rule == "contract" for f in findings)
+
+    @pytest.mark.parametrize("plant", ["extra", "missing", "duplicate"])
+    def test_detects_a_wrong_group_walk(self, monkeypatch, plant):
+        original = SkylineIndex.walk
+
+        def planted(self, subspace, counter=None):
+            found = original(self, subspace, counter)
+            if plant == "missing" and found.size:
+                return found[1:]
+            if plant == "duplicate" and found.size:
+                return np.append(found, found[0])
+            if plant == "extra":
+                others = set(_everything(self, subspace)) - set(found.tolist())
+                return np.append(found, sorted(others)[:1]).astype(np.intp)
+            return found
+
+        monkeypatch.setattr(SkylineIndex, "walk", planted)
+        with pytest.raises(ContractViolation, match="SkylineIndex.walk"):
+            verify_index_superset_filter(generate("UI", n=200, d=5, seed=3))
+
+
+def _everything(index, subspace, counter=None):
+    """Every stored point, whatever the subspace: an overbroad query."""
+    out = []
+    stack = [index._root]
+    while stack:
+        node = stack.pop()
+        out.extend(node.points)
+        stack.extend(node.children.values())
+    return out

@@ -2,9 +2,10 @@
 
 These are the acceptance-criterion mutations for the analysis subsystem:
 
-1. breaking the superset filter behind ``SkylineIndex.candidates`` (the
-   entry point the containers scan through) makes the contract layer (and
-   hence ``--strict`` / ``--contracts``) exit non-zero;
+1. breaking the superset filter behind ``SkylineIndex.walk`` (the entry
+   point a boosted scan walks the index through, once per subspace) makes
+   the contract layer (and hence ``--strict`` / ``--contracts``) exit
+   non-zero;
 2. dropping a ``counter`` argument from a kernel call is caught by the
    RPR001 linter;
 3. a miscomputing algorithm makes the differential layer exit non-zero.
@@ -22,7 +23,7 @@ from repro.analysis.report import gate_exit_code
 from repro.core.subset_index import SkylineIndex
 
 
-def _overbroad_query(self, subspace, counter=None):
+def _overbroad_walk(self, subspace, counter=None):
     """Mutation: ignore the superset filter, return every stored point."""
     out = []
     stack = [self._root]
@@ -30,19 +31,18 @@ def _overbroad_query(self, subspace, counter=None):
         node = stack.pop()
         out.extend(node.points)
         stack.extend(node.children.values())
-    ids = np.asarray(out, dtype=np.intp)
-    return ids, self._values[ids]
+    return np.asarray(out, dtype=np.intp)
 
 
 class TestBrokenSupersetFilter:
     def test_contract_layer_fails(self, monkeypatch):
-        monkeypatch.setattr(SkylineIndex, "candidates", _overbroad_query)
+        monkeypatch.setattr(SkylineIndex, "walk", _overbroad_walk)
         findings = run_contract_checks(kinds=("UI",), n=80, d=4, seeds=(1,))
         assert findings
         assert gate_exit_code(findings) == 1
 
     def test_cli_contract_gate_exits_nonzero(self, monkeypatch, capsys):
-        monkeypatch.setattr(SkylineIndex, "candidates", _overbroad_query)
+        monkeypatch.setattr(SkylineIndex, "walk", _overbroad_walk)
         assert main(["--no-lint", "--contracts"]) == 1
         assert "Lemma 5.1" in capsys.readouterr().out
 

@@ -9,6 +9,8 @@ from repro.algorithms.salsa import SaLSa
 from repro.algorithms.sdi import SDI
 from repro.algorithms.sfs import SFS
 from repro.core.boost import SubsetBoost
+from repro.core.merge import merge
+from repro.core.stability import default_threshold
 from repro.data import generate
 from repro.dataset import Dataset
 from repro.stats.counters import DominanceCounter
@@ -95,13 +97,13 @@ class TestEffectiveness:
     def test_index_queries_recorded(self, ui_small):
         counter = DominanceCounter()
         SubsetBoost(SFS()).compute(ui_small, counter=counter)
-        assert counter.index_queries > 0
-        # Memoized queries are answered from the cache without touching the
-        # tree, so only cache misses traverse nodes (at least the root each).
-        assert counter.index_cache_hits + counter.index_cache_misses == (
-            counter.index_queries
-        )
-        assert counter.index_nodes_visited >= counter.index_cache_misses > 0
+        merged = merge(ui_small, default_threshold(ui_small.dimensionality))
+        # The grouped scan walks the index once per distinct subspace of
+        # its testing points, past the memo cache; each walk visits at
+        # least the root.
+        assert counter.index_queries == np.unique(merged.masks).size > 0
+        assert counter.index_cache_hits == counter.index_cache_misses == 0
+        assert counter.index_nodes_visited >= counter.index_queries
 
     def test_unmemoized_queries_visit_nodes(self, ui_small):
         counter = DominanceCounter()

@@ -1,9 +1,9 @@
-"""The flat-layout contract on SkylineIndex's fused row cache.
+"""The flat-layout contract on SubsetContainer's gathered candidates.
 
-The row-gathering cache entry (ids plus ``values[ids]`` from one probe) is
-the flat layout's surviving feature; these tests hold ``SkylineIndex``
-built with ``values=`` to the same put/query contract, and bridge its
-memoized fused path to the unmemoized tree walk over full boosted scans.
+Candidate ids plus ``values[ids]`` from one call is the flat layout's
+surviving feature; these tests hold ``SubsetContainer.candidates`` over
+the map index to the same put/query contract, and bridge the memoized
+index to the unmemoized tree walk over full boosted scans.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.boost import run_boosted_scan
+from repro.core.container import SubsetContainer
 from repro.core.subset_index import SkylineIndex
 from repro.data import generate
 from repro.errors import DimensionMismatchError, InvalidParameterError
@@ -27,12 +28,14 @@ def brute_query(stored: list[tuple[int, int]], subspace: int) -> list[int]:
     return [pid for pid, mask in stored if subspace & ~mask == 0]
 
 
-def fused_index(d: int, n: int = 64) -> tuple[SkylineIndex, np.ndarray]:
+def fused_index(
+    d: int, n: int = 64, counter: DominanceCounter | None = None
+) -> tuple[SubsetContainer, np.ndarray]:
     values = np.arange(float(n * d)).reshape(n, d)
-    return SkylineIndex(d, values=values), values
+    return SubsetContainer(values, d, counter), values
 
 
-def fused_ids(idx: SkylineIndex, subspace: int, values: np.ndarray) -> list[int]:
+def fused_ids(idx: SubsetContainer, subspace: int, values: np.ndarray) -> list[int]:
     """``candidates()`` ids, after checking its rows are ``values[ids]``."""
     ids, rows = idx.candidates(subspace)
     assert np.array_equal(rows, values[ids])
@@ -41,7 +44,7 @@ def fused_ids(idx: SkylineIndex, subspace: int, values: np.ndarray) -> list[int]
 
 class TestPutQuery:
     def test_paper_example(self):
-        """Figure 3's subspace family answered by the fused row path."""
+        """Figure 3's subspace family answered by the gathered candidates."""
         d = 8
         figure_reversed = [
             {1, 2},
@@ -54,66 +57,69 @@ class TestPutQuery:
         ]
         idx, values = fused_index(d)
         for pid, reversed_dims in enumerate(figure_reversed):
-            idx.put(pid, bitset.complement(bitset.from_dims(reversed_dims), d))
+            idx.add(pid, bitset.complement(bitset.from_dims(reversed_dims), d))
         query_mask = bitset.complement(bitset.from_dims({1, 3, 5}), d)
         assert set(fused_ids(idx, query_mask, values)) == {2, 4}
-        assert set(idx.query(query_mask)) == {2, 4}
+        assert set(idx.query_ids(query_mask)) == {2, 4}
+        assert set(idx.walk(query_mask).tolist()) == {2, 4}
 
     def test_empty_index_queries_clean(self):
-        idx, values = fused_index(3)
         counter = DominanceCounter()
-        assert idx.query(0b101, counter) == []
-        ids, rows = idx.candidates(0b101, counter)
+        idx, values = fused_index(3, counter=counter)
+        assert idx.query_ids(0b101) == []
+        ids, rows = idx.candidates(0b101)
         assert ids.tolist() == []
         assert rows.shape == (0, 3)
+        assert idx.walk(0b101).tolist() == []
         assert len(idx) == 0
-        assert idx.node_count() == 1  # the root alone
+        assert idx.index.node_count() == 1  # the root alone
         assert counter.tests == 0
 
     def test_single_mask_group(self):
         idx, values = fused_index(3)
-        for pid in range(5):
-            idx.put(pid, 0b110)
+        idx.add_many(list(range(5)), 0b110)
         assert fused_ids(idx, 0b010, values) == list(range(5))
         assert fused_ids(idx, 0b001, values) == []
-        assert idx.subspaces() == {0b110: list(range(5))}
+        assert idx.index.subspaces() == {0b110: list(range(5))}
 
     def test_duplicate_masks_keep_all_points(self):
         idx, values = fused_index(4)
         stored = [(pid, 0b0110 if pid % 2 else 0b1111) for pid in range(12)]
         for pid, mask in stored:
-            idx.put(pid, mask)
+            idx.add(pid, mask)
         for q in (0b0110, 0b0010, 0b1111, 0b0001):
             assert fused_ids(idx, q, values) == brute_query(stored, q)
-            assert idx.query(q) == brute_query(stored, q)
-        assert len(idx.subspaces()) == 2
+            assert idx.query_ids(q) == brute_query(stored, q)
+        assert len(idx.index.subspaces()) == 2
 
     def test_invalid_dimensionality_rejected(self):
         with pytest.raises(InvalidParameterError):
-            SkylineIndex(d=0, values=np.zeros((1, 1)))
+            SubsetContainer(np.zeros((1, 1)), d=0)
 
     def test_out_of_range_mask_rejected(self):
         idx, _ = fused_index(3)
         with pytest.raises(DimensionMismatchError):
-            idx.put(0, 0b1000)
+            idx.add(0, 0b1000)
         with pytest.raises(DimensionMismatchError):
-            idx.query(0b1000)
+            idx.query_ids(0b1000)
         with pytest.raises(DimensionMismatchError):
             idx.candidates(0b1000)
+        with pytest.raises(DimensionMismatchError):
+            idx.walk(0b1000)
 
 
 class TestCompaction:
-    """Shrinking changes and the diagnostic views of a fused index."""
+    """Shrinking changes and the diagnostic views of a container's index."""
 
     def test_remove_and_clear(self):
         idx, values = fused_index(3)
-        idx.put(1, 0b011)
-        idx.put(2, 0b011)
+        idx.add(1, 0b011)
+        idx.add(2, 0b011)
         assert fused_ids(idx, 0b001, values) == [1, 2]
-        epoch = idx.epoch
+        epoch = idx.index.epoch
         idx.remove(1, 0b011)
         assert fused_ids(idx, 0b001, values) == [2]
-        assert idx.epoch == epoch + 1
+        assert idx.index.epoch == epoch + 1
         with pytest.raises(KeyError):
             idx.remove(1, 0b011)
         with pytest.raises(KeyError):
@@ -124,11 +130,10 @@ class TestCompaction:
 
     def test_subspaces_and_occupancy_views(self):
         idx, _ = fused_index(3)
-        idx.put(0, 0b011)
-        idx.put(1, 0b011)
-        idx.put(2, 0b111)
-        assert idx.subspaces() == {0b011: [0, 1], 0b111: [2]}
-        occ = idx.occupancy()
+        idx.add_many([0, 1], 0b011)
+        idx.add(2, 0b111)
+        assert idx.index.subspaces() == {0b011: [0, 1], 0b111: [2]}
+        occ = idx.index.occupancy()
         assert occ["nodes"] == 2.0 and occ["max"] == 2.0
 
 
@@ -146,7 +151,7 @@ def put_query_sequences(draw):
 
 
 class TestFlatVsMapBridge:
-    """The fused row path against the id-only index and the tree walk."""
+    """The gathered candidates against the id-only index and the tree walk."""
 
     @given(put_query_sequences())
     @settings(max_examples=60, deadline=None)
@@ -154,16 +159,16 @@ class TestFlatVsMapBridge:
         """Same put/query stream → same ids and same cache accounting."""
         d, puts, queries = seq
         values = np.random.default_rng(0).random((max(len(puts), 1), d))
-        fused, tree = SkylineIndex(d, values=values), SkylineIndex(d)
         fused_counter, tree_counter = DominanceCounter(), DominanceCounter()
+        fused, tree = SubsetContainer(values, d, fused_counter), SkylineIndex(d)
         for pid, mask in enumerate(puts):
-            fused.put(pid, mask)
+            fused.add(pid, mask)
             tree.put(pid, mask)
         for mask in queries:
-            ids, rows = fused.candidates(mask, fused_counter)
+            ids, rows = fused.candidates(mask)
             assert ids.tolist() == tree.query(mask, tree_counter)
             assert np.array_equal(rows, values[ids])
-        fused_stats, tree_stats = fused.cache_stats(), tree.cache_stats()
+        fused_stats, tree_stats = fused.index.cache_stats(), tree.cache_stats()
         assert fused_stats["hits"] == tree_stats["hits"]
         assert fused_stats["misses"] == tree_stats["misses"]
         assert fused_counter.index_cache_hits == tree_counter.index_cache_hits

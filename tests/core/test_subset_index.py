@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.container import SubsetContainer
 from repro.core.subset_index import SkylineIndex
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.stats.counters import DominanceCounter
@@ -226,39 +227,38 @@ class TestRemove:
 
 
 class TestFusedCandidates:
-    """``candidates()``: ids plus gathered rows from one cache probe."""
+    """``SubsetContainer.candidates()``: the index's ids plus gathered rows."""
 
     def test_candidates_returns_gathered_rows(self):
         values = np.arange(12.0).reshape(4, 3)
-        idx = SkylineIndex(3, values=values)
-        idx.put(2, 0b111)
-        idx.put(0, 0b011)
-        ids, rows = idx.candidates(0b011)
+        container = SubsetContainer(values, 3)
+        container.add(2, 0b111)
+        container.add(0, 0b011)
+        ids, rows = container.candidates(0b011)
         assert ids.tolist() == [2, 0]
         assert np.array_equal(rows, values[[2, 0]])
         # A repeated probe serves the same entry, repaired from the log.
-        idx.put(3, 0b111)
-        ids, rows = idx.candidates(0b011)
+        container.add(3, 0b111)
+        ids, rows = container.candidates(0b011)
         assert ids.tolist() == [2, 0, 3]
         assert np.array_equal(rows, values[[2, 0, 3]])
 
     def test_candidates_requires_values(self):
-        idx = SkylineIndex(3)
-        idx.put(0, 0b011)
+        container = SubsetContainer(None, 3)
+        container.add(0, 0b011)
         with pytest.raises(InvalidParameterError):
-            idx.candidates(0b001)
-        assert idx.query(0b001) == [0]
+            container.candidates(0b001)
+        assert container.query_ids(0b001) == [0]
 
     def test_earlier_views_unchanged_by_later_puts(self):
         values = np.arange(200.0).reshape(50, 4)
-        idx = SkylineIndex(4, values=values)
-        idx.put(0, 0b1111)
-        ids, rows = idx.candidates(0b0001)
+        container = SubsetContainer(values, 4)
+        container.add(0, 0b1111)
+        ids, rows = container.candidates(0b0001)
         ids_before, rows_before = ids.copy(), rows.copy()
-        # Enough puts to append in place and then to outgrow the buffers.
         for pid in range(1, 50):
-            idx.put(pid, 0b1111)
-            idx.candidates(0b0001)
+            container.add(pid, 0b1111)
+            container.candidates(0b0001)
         assert np.array_equal(ids, ids_before)
         assert np.array_equal(rows, rows_before)
         assert not ids.flags.writeable
@@ -266,15 +266,56 @@ class TestFusedCandidates:
     def test_unmemoized_candidates_charge_a_traversal_each(self):
         values = np.arange(12.0).reshape(4, 3)
         counter = DominanceCounter()
-        idx = SkylineIndex(3, memoize=False, values=values)
-        idx.put(1, 0b011)
+        container = SubsetContainer(values, 3, counter, memoize=False)
+        container.add(1, 0b011)
         for _ in range(3):
-            ids, rows = idx.candidates(0b001, counter)
+            ids, rows = container.candidates(0b001)
             assert ids.tolist() == [1]
             assert np.array_equal(rows, values[[1]])
         assert counter.index_queries == 3
         assert counter.index_cache_hits == counter.index_cache_misses == 0
+        assert container.index.cache_stats()["entries"] == 0
+
+
+class TestGroupWalk:
+    """``walk`` and ``put_many``: one tree walk per subspace, one path per group."""
+
+    def test_walk_is_an_unmemoized_query(self):
+        idx = SkylineIndex(4)
+        stored = {1: 0b0011, 2: 0b1111, 3: 0b0100, 4: 0b0111}
+        for pid, mask in stored.items():
+            idx.put(pid, mask)
+        for subspace in range(1 << 4):
+            counter, reference = DominanceCounter(), DominanceCounter()
+            found = idx.walk(subspace, counter)
+            assert found.dtype == np.intp
+            assert sorted(found.tolist()) == sorted(brute_query(stored, subspace))
+            SkylineIndex.query(_unmemoized_copy(stored), subspace, reference)
+            assert counter.index_queries == 1
+            assert counter.index_nodes_visited == reference.index_nodes_visited
+            assert counter.index_cache_hits == counter.index_cache_misses == 0
         assert idx.cache_stats()["entries"] == 0
+
+    def test_put_many_matches_single_puts(self):
+        single, grouped = SkylineIndex(3), SkylineIndex(3)
+        for pid in (5, 1, 9):
+            single.put(pid, 0b101)
+        grouped.put_many([5, 1, 9], 0b101)
+        single.put(2, 0b111)
+        grouped.put(2, 0b111)
+        for subspace in range(1 << 3):
+            assert grouped.query(subspace) == single.query(subspace)
+        assert grouped.subspaces() == single.subspaces()
+        assert grouped.node_count() == single.node_count()
+        assert len(grouped) == len(single) == 4
+        assert grouped.generation == single.generation
+
+
+def _unmemoized_copy(stored: dict[int, int]) -> SkylineIndex:
+    idx = SkylineIndex(4, memoize=False)
+    for pid, mask in stored.items():
+        idx.put(pid, mask)
+    return idx
 
 
 _FUSED_D = 4
@@ -294,17 +335,18 @@ _fused_ops = st.lists(
 @given(_fused_ops)
 def test_fused_candidates_match_brute_force(ops):
     """Interleaved put/remove/clear/candidates on memoized and unmemoized
-    indexes: ids are exactly the stored supersets in insertion order, rows
-    are ``values[ids]``, and both modes agree on ids, rows and queries."""
+    containers: ids are exactly the stored supersets in insertion order,
+    rows are ``values[ids]``, both modes agree on ids, rows and queries,
+    and a group walk returns the same ids."""
     values = np.random.default_rng(0).random((len(ops), _FUSED_D))
-    memo = SkylineIndex(_FUSED_D, values=values)
-    plain = SkylineIndex(_FUSED_D, memoize=False, values=values)
     memo_counter, plain_counter = DominanceCounter(), DominanceCounter()
+    memo = SubsetContainer(values, _FUSED_D, memo_counter)
+    plain = SubsetContainer(values, _FUSED_D, plain_counter, memoize=False)
     stored: list[tuple[int, int]] = []  # insertion order
     for pid, (kind, arg) in enumerate(ops):
         if kind == "put":
             for idx in (memo, plain):
-                idx.put(pid, arg)
+                idx.add(pid, arg)
             stored.append((pid, arg))
         elif kind == "remove" and stored:
             point_id, mask = stored.pop(arg % len(stored))
@@ -316,11 +358,12 @@ def test_fused_candidates_match_brute_force(ops):
             stored.clear()
         elif kind == "candidates":
             expected = [point_id for point_id, mask in stored if arg & ~mask == 0]
-            memo_ids, memo_rows = memo.candidates(arg, memo_counter)
-            plain_ids, plain_rows = plain.candidates(arg, plain_counter)
+            memo_ids, memo_rows = memo.candidates(arg)
+            plain_ids, plain_rows = plain.candidates(arg)
             assert memo_ids.tolist() == plain_ids.tolist() == expected
             assert np.array_equal(memo_rows, values[expected])
             assert np.array_equal(plain_rows, values[expected])
+            assert sorted(memo.index.walk(arg).tolist()) == sorted(expected)
     assert memo_counter.index_queries == plain_counter.index_queries
     assert memo_counter.tests == plain_counter.tests == 0
 
