@@ -4,15 +4,15 @@ Isolates the *scan phase* of the boosted pipeline — Merge (Algorithm 1)
 runs once, outside the timed region, then each host's ``run_phase`` is
 timed repeatedly with a fresh container per repeat:
 
-- **scalar**: unmemoized index queries, per-point candidate gather (and,
-  for SDI, the per-point filter + stable sort) — the pre-batching
-  reference path, kept behind ``SDI(batched=False)`` /
-  ``SubsetContainer(memoize=False)``;
-- **batched**: memoized queries served with their gathered candidate
-  rows from the subset index's fused cache, and SDI's incrementally
-  maintained sorted views.  On the canonical configuration the batched
-  times must also beat the fixed PR 2 baselines by ``PR2_GATE_SPEEDUP``
-  (geometric mean across hosts).
+- **scalar**: the per-point loop, one unmemoized index query and
+  candidate gather per testing point (and, for SDI, the per-point filter
+  + stable sort) — the reference path, kept behind ``SDI(batched=False)``
+  over a :class:`PointwiseSubsetContainer` built with ``memoize=False``;
+- **batched**: the grouped settlement of :mod:`repro.core.settle`, one
+  index walk and one matrix pass per subspace over a ``SubsetContainer``.
+  On the canonical configuration the batched times must also beat the
+  fixed PR 2 baselines by ``PR2_GATE_SPEEDUP`` (geometric mean across
+  hosts).
 
 Every pair of paths must produce the identical skyline and charge the
 identical dominance-test count — the script exits non-zero otherwise, so
@@ -182,7 +182,15 @@ def plan_fields(plan) -> dict:
 # -- scenario: batched vs scalar --------------------------------------------
 
 
-def time_scan_phase(dataset, merged, host_factory, memoize, repeats):
+class PointwiseSubsetContainer(SubsetContainer):
+    """A subset container that hosts scan point by point: with
+    ``by_subspace`` off, a host runs its per-point loop over
+    ``candidates`` instead of the grouped settlement."""
+
+    by_subspace = False
+
+
+def time_scan_phase(dataset, merged, host_factory, container_type, memoize, repeats):
     """Best-of-``repeats`` wall clock of one host's scan phase."""
     d = dataset.dimensionality
     masks = np.zeros(dataset.cardinality, dtype=np.int64)
@@ -192,7 +200,7 @@ def time_scan_phase(dataset, merged, host_factory, memoize, repeats):
     counter = DominanceCounter()
     for _ in range(repeats):
         counter = DominanceCounter()
-        container = SubsetContainer(dataset.values, d, counter, memoize=memoize)
+        container = container_type(dataset.values, d, counter, memoize=memoize)
         host = host_factory()
         start = time.perf_counter()
         skyline = host.run_phase(
@@ -240,10 +248,15 @@ def run_batched_vs_scalar(kind, n, d, seed, repeats):
     ratios = []
     for name, (scalar_factory, batched_factory) in HOSTS.items():
         scalar_sky, scalar_counter, scalar_s = time_scan_phase(
-            dataset, merged, scalar_factory, memoize=False, repeats=repeats
+            dataset,
+            merged,
+            scalar_factory,
+            PointwiseSubsetContainer,
+            memoize=False,
+            repeats=repeats,
         )
         batched_sky, batched_counter, batched_s = time_scan_phase(
-            dataset, merged, batched_factory, memoize=True, repeats=repeats
+            dataset, merged, batched_factory, SubsetContainer, memoize=True, repeats=repeats
         )
         identical = (
             scalar_sky == batched_sky

@@ -40,6 +40,13 @@ group is taken in blocks of rows by scan position, and its candidates in
 chunks, the first :data:`FIRST_CHUNK` wide, then growing
 (:func:`first_hits`).  A row leaves the pass at its first dominator or
 once the chunks pass its own insertion time.
+
+**Small groups.**  At high dimensionality most subspaces hold one or two
+testing points, and a matrix pass costs more than the per-point kernel
+it replaces; a group of fewer than :data:`MATRIX_MIN_ROWS` rows is
+tested row by row with :func:`~repro.dominance.first_dominator` instead,
+over the same candidates, with the same result.  Each group still takes
+one index walk.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.container import SkylineContainer
-from repro.dominance import dominance_matrix
+from repro.dominance import dominance_matrix, first_dominator
 
 #: Most (row, candidate) pairs one :func:`dominance_matrix` call of a
 #: grouped scan evaluates: the boolean result stays at 1 MiB.
@@ -60,6 +67,20 @@ PAIR_BUDGET = 1 << 20
 #: fills the budget.
 FIRST_CHUNK = 256
 
+#: Fewest rows :func:`first_hits` settles with a matrix pass.  Fewer rows
+#: are tested one at a time with the early-exit kernel: on one or two
+#: rows against 300-8,000 candidates (d = 8-24) it ran 1.1-3x faster
+#: than the matrix pass, and from four rows on 1.9-3.8x slower.
+MATRIX_MIN_ROWS = 3
+
+#: numpy's ufunc buffer, in elements, while :func:`first_hits` runs its
+#: matrix pass.  With numpy 2.4 the broadcast comparisons of
+#: :func:`~repro.dominance.dominance_matrix` ran 3-4x slower per element
+#: under the default 8,192-element buffer on this pass's shapes (256-4,096
+#: rows or columns a block); at 512 they run fast (docs/PERFORMANCE.md
+#: §10).  Scoped here, the shared kernel keeps numpy's default.
+UFUNC_BUFFER = 512
+
 
 def first_hits(rows: np.ndarray, cols: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Index of the first of ``cols[:ends[i]]`` that dominates ``rows[i]``, or -1.
@@ -69,21 +90,30 @@ def first_hits(rows: np.ndarray, cols: np.ndarray, ends: np.ndarray) -> np.ndarr
     chunks, each call within :data:`PAIR_BUDGET` pairs; a row closes at
     its first dominator or when the chunks reach ``ends[i]``.  No column
     at or past ``ends[i]`` may dominate ``rows[i]``: a chunk that reaches
-    past it is not masked.
+    past it is not masked.  Fewer than :data:`MATRIX_MIN_ROWS` rows are
+    tested one at a time instead.
     """
+    if rows.shape[0] < MATRIX_MIN_ROWS:
+        found = [
+            first_dominator(cols[:end], row)  # noqa: RPR001 — callers charge the tests from the returned indices
+            for row, end in zip(rows, ends.tolist())
+        ]
+        return np.array(found, dtype=np.intp)
     first = np.full(rows.shape[0], -1, dtype=np.intp)
     step = max(1, PAIR_BUDGET // FIRST_CHUNK)
-    for low in range(0, rows.shape[0], step):
-        open_rows = low + np.flatnonzero(ends[low : low + step] > 0)
-        start, width = 0, FIRST_CHUNK
-        while open_rows.size:
-            width = min(width, max(1, PAIR_BUDGET // open_rows.size))
-            stop = min(start + width, cols.shape[0])
-            hits = dominance_matrix(rows[open_rows], cols[start:stop])
-            found = hits.any(axis=1)
-            first[open_rows[found]] = start + hits[found].argmax(axis=1)
-            open_rows = open_rows[~found & (ends[open_rows] > stop)]
-            start, width = stop, 2 * width
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(UFUNC_BUFFER)
+        for low in range(0, rows.shape[0], step):
+            open_rows = low + np.flatnonzero(ends[low : low + step] > 0)
+            start, width = 0, FIRST_CHUNK
+            while open_rows.size:
+                width = min(width, max(1, PAIR_BUDGET // open_rows.size))
+                stop = min(start + width, cols.shape[0])
+                hits = dominance_matrix(rows[open_rows], cols[start:stop])
+                found = hits.any(axis=1)
+                first[open_rows[found]] = start + hits[found].argmax(axis=1)
+                open_rows = open_rows[~found & (ends[open_rows] > stop)]
+                start, width = stop, 2 * width
     return first
 
 

@@ -26,9 +26,11 @@ common case.  The index therefore keeps a per-subspace result cache with
 generation-based invalidation:
 
 - every ``put``/``remove`` advances :attr:`generation`;
-- a ``put`` is appended to an in-order log, and a stale cache entry is
-  *repaired* by scanning only the log suffix it has not yet incorporated
-  (a put can only ever append candidates to a superset query's result);
+- while any entry is cached, a ``put`` is appended to an in-order log,
+  and a stale cache entry is *repaired* by scanning only the log suffix
+  it has not yet incorporated (a put can only ever append candidates to a
+  superset query's result); an index no query has cached into, such as
+  one a grouped scan walks, keeps no log;
 - a ``remove`` (or ``clear``) advances the *epoch*, discarding every
   cached entry wholesale — removals are rare (streaming only), appends
   are the hot path.
@@ -174,26 +176,34 @@ class SkylineIndex:
 
         Walks the reversed subspace's dimensions in increasing order,
         creating nodes on demand, and appends the point to the final node.
-        A full-space subspace lands on the root node (empty path).
+        A full-space subspace lands on the root node (empty path).  Kept
+        apart from :meth:`put_many`: streaming puts one point at a time.
         """
-        self.put_many([point_id], subspace)
+        node = self._leaf(subspace)
+        node.points.append(point_id)
+        node.seqs.append(self._seq)
+        self._seq += 1
+        self._size += 1
+        self._generation += 1
+        if self._cache:  # only cache entries read the log
+            n = self._log_size
+            if n == self._log_pids.shape[0]:
+                self._log_pids = np.resize(self._log_pids, 2 * n)
+                self._log_subs = np.resize(self._log_subs, 2 * n)
+            self._log_pids[n] = point_id
+            self._log_subs[n] = subspace
+            self._log_size = n + 1
 
     def put_many(self, point_ids: list[int], subspace: int) -> None:
         """:meth:`put` for several points of one subspace, in order: one path walk."""
-        node = self._root
-        for dim in bitset.bits_of(self._reversed(subspace)):
-            child = node.children.get(dim)
-            if child is None:
-                child = _Node()
-                node.children[dim] = child
-            node = child
+        node = self._leaf(subspace)
         count = len(point_ids)
         node.points.extend(point_ids)
         node.seqs.extend(range(self._seq, self._seq + count))
         self._seq += count
         self._size += count
         self._generation += count
-        if self._memoize:
+        if self._cache:  # only cache entries read the log
             n = self._log_size
             if n + count > self._log_pids.shape[0]:
                 capacity = max(n + count, 2 * self._log_pids.shape[0])
@@ -202,6 +212,17 @@ class SkylineIndex:
             self._log_pids[n : n + count] = point_ids
             self._log_subs[n : n + count] = subspace
             self._log_size = n + count
+
+    def _leaf(self, subspace: int) -> _Node:
+        """The node ``subspace``'s points are stored at, created on demand."""
+        node = self._root
+        for dim in bitset.bits_of(self._reversed(subspace)):
+            child = node.children.get(dim)
+            if child is None:
+                child = _Node()
+                node.children[dim] = child
+            node = child
+        return node
 
     def query(self, subspace: int, counter: DominanceCounter | None = None) -> list[int]:
         """Algorithms 3–4: all points whose subspace ⊇ ``subspace``.
@@ -316,12 +337,15 @@ class SkylineIndex:
         uses only dimensions of the reversed subspace."""
         reversed_mask = self._reversed(subspace)
         nodes = [self._root]
-        for node in nodes:  # breadth-first: the loop reaches appended nodes
-            nodes += [
-                child
-                for dim, child in node.children.items()
-                if bitset.has_dim(reversed_mask, dim)
-            ]
+        visit = nodes.append
+        # Breadth-first: the loop reaches appended nodes.  It runs once
+        # per child of every visited node (a walk at d = 16 visits about
+        # 90 nodes), so it is spelled out rather than a comprehension per
+        # node, and ``bitset.has_dim`` is inlined.
+        for node in nodes:
+            for dim, child in node.children.items():
+                if reversed_mask >> dim & 1:  # noqa: RPR002 — bitset.has_dim inlined in the walk's innermost loop
+                    visit(child)
         return nodes
 
     def _reversed(self, subspace: int) -> int:

@@ -109,15 +109,6 @@ def dominating_subspaces(
 #: for numpy's unbuffered broadcast loops (see docs/PERFORMANCE.md §8).
 _MATRIX_BLOCK = 1 << 18
 
-#: numpy's ufunc buffer, in elements, while :func:`dominance_matrix`
-#: compares along an inner axis this buffer speeds up.  With numpy 2.4 a
-#: broadcast comparison ran 3-6x slower per element whenever its inner
-#: axis was shorter than about a third of the buffer (8192 by default); at
-#: 512, inner axes from about 171 on run fast.  Shorter and longer axes
-#: keep the default: setting the buffer costs a few microseconds, which
-#: small matrices would only lose (docs/PERFORMANCE.md §10).
-_UFUNC_BUFFER = 512
-
 
 def dominance_matrix(rows: np.ndarray, dominators: np.ndarray) -> np.ndarray:
     """Boolean ``(len(rows), len(dominators))`` matrix, no accounting.
@@ -138,22 +129,8 @@ def dominance_matrix(rows: np.ndarray, dominators: np.ndarray) -> np.ndarray:
     out = np.zeros((rows.shape[0], dominators.shape[0]), dtype=bool)
     if out.size == 0:
         return out
-    step = max(1, _MATRIX_BLOCK // out.shape[1])
-    inner = max(min(step, out.shape[0]), out.shape[1])  # the longer side
-    if _UFUNC_BUFFER <= 3 * inner < np.getbufsize():
-        with np.errstate():  # restores the buffer size on exit
-            np.setbufsize(_UFUNC_BUFFER)
-            _fill_matrix(out, rows, dominators, step)
-    else:
-        _fill_matrix(out, rows, dominators, step)
-    return out
-
-
-def _fill_matrix(
-    out: np.ndarray, rows: np.ndarray, dominators: np.ndarray, step: int
-) -> None:
-    """:func:`dominance_matrix`'s evaluation, ``step`` rows at a time."""
     dominator_cols = np.ascontiguousarray(dominators.T)
+    step = max(1, _MATRIX_BLOCK // out.shape[1])
     for start in range(0, rows.shape[0], step):
         row_cols = np.ascontiguousarray(rows[start : start + step].T)
         flip = row_cols.shape[1] > out.shape[1]  # rows innermost
@@ -161,6 +138,7 @@ def _fill_matrix(
         row = row_cols[:, None, :] if flip else row_cols[:, :, None]
         hits = (dom <= row).all(axis=0) & (dom < row).any(axis=0)
         out[start : start + step] = hits.T if flip else hits
+    return out
 
 
 def scan_order(rows: np.ndarray, key: np.ndarray | None = None) -> np.ndarray:

@@ -1,9 +1,12 @@
-"""Batched scan phase vs the scalar reference path: bit-identical results.
+"""Scan paths against their references: bit-identical results.
 
-The vectorised candidate gathering (column-backed blocks in the container,
-SDI's unsorted prefix test, memoized index queries) is a pure
-execution-strategy change — skylines *and* charged dominance-test counts
-must match the scalar path exactly on every distribution.
+The batched per-point scan (column-backed blocks in the container, SDI's
+unsorted prefix test, memoized index queries) and the grouped settlement
+of a boosted scan (one index walk and one matrix pass per subspace) are
+pure execution-strategy changes: skylines *and* charged dominance-test
+counts must match the scalar per-point path exactly on every
+distribution.  The per-point paths of a boosted host run over a
+:class:`~tests.conftest.PointwiseSubsetContainer`.
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ from repro.core.boost import SubsetBoost
 from repro.data import generate
 from repro.dominance import first_dominator, first_dominator_prefix
 from repro.stats.counters import DominanceCounter
-from tests.conftest import brute_skyline_ids
+from tests.conftest import brute_skyline_ids, pointwise_boost
 from tests.test_dominance import _TIE_LEVELS
 
 KINDS = ("UI", "CO", "AC")
@@ -31,22 +34,33 @@ def _run(boost, dataset):
     return list(result.indices), counter.tests
 
 
+def _sdi_subset_paths(dataset):
+    """SDI-Subset grouped, per-point batched (memoized) and per-point
+    scalar (unmemoized): ``(ids, tests)`` of each."""
+    grouped = _run(SubsetBoost(SDI()), dataset)
+    with pointwise_boost():
+        batched = _run(SubsetBoost(SDI(batched=True), memoize=True), dataset)
+        scalar = _run(SubsetBoost(SDI(batched=False), memoize=False), dataset)
+    return grouped, batched, scalar
+
+
 class TestBatchedEqualsScalar:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", [1, 7])
     def test_sdi_subset(self, kind, seed):
         dataset = generate(kind, n=400, d=5, seed=seed)
-        batched = _run(SubsetBoost(SDI(batched=True), memoize=True), dataset)
-        scalar = _run(SubsetBoost(SDI(batched=False), memoize=False), dataset)
-        assert batched == scalar
+        grouped, batched, scalar = _sdi_subset_paths(dataset)
+        assert grouped == batched == scalar
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("host", [SFS, SaLSa])
     def test_memoized_hosts(self, kind, host):
         dataset = generate(kind, n=400, d=5, seed=3)
-        memoized = _run(SubsetBoost(host(), memoize=True), dataset)
-        scalar = _run(SubsetBoost(host(), memoize=False), dataset)
-        assert memoized == scalar
+        grouped = _run(SubsetBoost(host()), dataset)
+        with pointwise_boost():
+            memoized = _run(SubsetBoost(host(), memoize=True), dataset)
+            scalar = _run(SubsetBoost(host(), memoize=False), dataset)
+        assert grouped == memoized == scalar
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -57,9 +71,8 @@ class TestBatchedEqualsScalar:
         )
     )
     def test_sdi_subset_on_random_data(self, values):
-        batched = _run(SubsetBoost(SDI(batched=True), memoize=True), values)
-        scalar = _run(SubsetBoost(SDI(batched=False), memoize=False), values)
-        assert batched == scalar
+        grouped, batched, scalar = _sdi_subset_paths(values)
+        assert grouped == batched == scalar
 
 
 #: Integer levels: every float sum is exact.  On ``_TIE_LEVELS`` sums tie
@@ -80,17 +93,13 @@ class TestSDIOnTies:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from((_TIE_LEVELS, _INTEGER_LEVELS)).flatmap(_level_arrays))
     def test_batched_equals_scalar(self, values):
-        pairs = (
-            (SDI(batched=True), SDI(batched=False)),  # the ListContainer path
-            (
-                SubsetBoost(SDI(batched=True), memoize=True),
-                SubsetBoost(SDI(batched=False), memoize=False),
-            ),
-        )
-        for batched_host, scalar_host in pairs:
-            batched = _run(batched_host, values)
-            assert batched == _run(scalar_host, values)
-            assert sorted(batched[0]) == brute_skyline_ids(values)
+        expected = brute_skyline_ids(values)
+        batched = _run(SDI(batched=True), values)  # the ListContainer path
+        assert batched == _run(SDI(batched=False), values)
+        assert sorted(batched[0]) == expected
+        grouped, batched, scalar = _sdi_subset_paths(values)
+        assert grouped == batched == scalar
+        assert sorted(grouped[0]) == expected
 
 
 class TestFirstDominatorPrefix:

@@ -1,10 +1,16 @@
-"""Shared fixtures: small deterministic workloads and the brute-force oracle."""
+"""Shared fixtures: small deterministic workloads, the brute-force oracle
+and the per-point reference for boosted scans."""
 
 from __future__ import annotations
+
+import contextlib
+from collections.abc import Iterator
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core.container import SubsetContainer
 from repro.data import generate
 from repro.dataset import Dataset
 
@@ -25,6 +31,25 @@ def brute_skyline_ids(values: np.ndarray) -> list[int]:
         if not dominated:
             result.append(i)
     return result
+
+
+class PointwiseSubsetContainer(SubsetContainer):
+    """A subset container that hosts scan point by point.
+
+    With ``by_subspace`` off, a host runs its per-point loop over this
+    container's ``candidates`` (one index query per testing point, through
+    the memo cache or not) instead of the grouped settlement: the
+    reference a grouped scan is compared against.
+    """
+
+    by_subspace = False
+
+
+@contextlib.contextmanager
+def pointwise_boost() -> Iterator[None]:
+    """Boosted scans inside the block run the hosts' per-point loops."""
+    with mock.patch("repro.core.boost.SubsetContainer", PointwiseSubsetContainer):
+        yield
 
 
 @pytest.fixture(scope="session")

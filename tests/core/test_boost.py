@@ -14,7 +14,7 @@ from repro.core.stability import default_threshold
 from repro.data import generate
 from repro.dataset import Dataset
 from repro.stats.counters import DominanceCounter
-from tests.conftest import brute_skyline_ids
+from tests.conftest import brute_skyline_ids, pointwise_boost
 
 
 class TestConstruction:
@@ -107,7 +107,9 @@ class TestEffectiveness:
 
     def test_unmemoized_queries_visit_nodes(self, ui_small):
         counter = DominanceCounter()
-        SubsetBoost(SFS(), memoize=False).compute(ui_small, counter=counter)
-        assert counter.index_queries > 0
+        with pointwise_boost():  # the per-point loop queries the index
+            SubsetBoost(SFS(), memoize=False).compute(ui_small, counter=counter)
+        merged = merge(ui_small, default_threshold(ui_small.dimensionality))
+        assert counter.index_queries == merged.remaining_ids.size > 0
         assert counter.index_cache_hits == counter.index_cache_misses == 0
         assert counter.index_nodes_visited >= counter.index_queries

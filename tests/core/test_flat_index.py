@@ -3,7 +3,8 @@
 Candidate ids plus ``values[ids]`` from one call is the flat layout's
 surviving feature; these tests hold ``SubsetContainer.candidates`` over
 the map index to the same put/query contract, and bridge the memoized
-index to the unmemoized tree walk over full boosted scans.
+index to the unmemoized tree walk over full per-point boosted scans
+(:func:`~tests.conftest.pointwise_boost`), and both to the grouped scan.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.algorithms.sdi import SDI
 from repro.algorithms.sfs import SFS
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
+from tests.conftest import pointwise_boost
 
 
 def brute_query(stored: list[tuple[int, int]], subspace: int) -> list[int]:
@@ -178,21 +180,31 @@ class TestFlatVsMapBridge:
     @pytest.mark.parametrize("host_factory", [SFS, SaLSa, SDI])
     @pytest.mark.parametrize("kind", ["UI", "CO", "AC"])
     def test_boosted_scan_bit_identical(self, host_factory, kind):
-        """Memoized and tree-walk boosted scans charge identical tests."""
+        """Memoized and tree-walk per-point scans, and the grouped scan,
+        charge identical tests."""
         dataset = generate(kind, n=600, d=5, seed=11)
         results = {}
         for memoize in (True, False):
             counter = DominanceCounter()
-            skyline = run_boosted_scan(
-                dataset, host_factory(), counter, memoize=memoize
-            )
+            with pointwise_boost():
+                skyline = run_boosted_scan(
+                    dataset, host_factory(), counter, memoize=memoize
+                )
             results[memoize] = (skyline, counter)
         memo_sky, memo_counter = results[True]
         walk_sky, walk_counter = results[False]
         assert memo_sky == walk_sky
         assert memo_counter.tests == walk_counter.tests
         assert memo_counter.index_queries == walk_counter.index_queries
+        assert (
+            memo_counter.index_cache_hits + memo_counter.index_cache_misses
+            == memo_counter.index_queries
+        )
         assert walk_counter.index_cache_hits == walk_counter.index_cache_misses == 0
+        grouped_counter = DominanceCounter()
+        assert run_boosted_scan(dataset, host_factory(), grouped_counter) == memo_sky
+        assert grouped_counter.tests == memo_counter.tests
+        assert grouped_counter.index_queries <= memo_counter.index_queries
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -207,8 +219,11 @@ class TestFlatVsMapBridge:
         per_mode = {}
         for memoize in (True, False):
             counter = DominanceCounter()
-            skyline = run_boosted_scan(
-                dataset, SFS(), counter, sigma=sigma, memoize=memoize
-            )
+            with pointwise_boost():
+                skyline = run_boosted_scan(
+                    dataset, SFS(), counter, sigma=sigma, memoize=memoize
+                )
             per_mode[memoize] = (skyline, counter.tests)
-        assert per_mode[True] == per_mode[False]
+        counter = DominanceCounter()
+        grouped = run_boosted_scan(dataset, SFS(), counter, sigma=sigma)
+        assert per_mode[True] == per_mode[False] == (grouped, counter.tests)

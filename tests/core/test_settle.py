@@ -11,6 +11,8 @@ extension's seeded union scan seeds them.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +26,7 @@ from repro.algorithms.sfs import SFS
 from repro.algorithms.zorder_scan import ZOrderScan
 from repro.core.container import SubsetContainer
 from repro.core.merge import merge
+from repro.core.settle import first_hits
 from repro.data import generate
 from repro.dataset import Dataset
 from repro.dominance import first_dominator, first_dominator_prefix, scan_order
@@ -189,6 +192,33 @@ def test_grouped_scan_matches_on_generated_data(name, kind):
     values = generate(kind, n=600, d=6, seed=4).values
     for seeded in (False, True):
         assert_grouped_matches_reference(name, values, 2, seeded)
+
+
+def _brute_first(rows, cols):
+    """Index of the first column that dominates each row, or -1."""
+    found = []
+    for row in rows:
+        hits = [j for j, col in enumerate(cols) if (col <= row).all() and (col < row).any()]
+        found.append(hits[0] if hits else -1)
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_inputs(), st.randoms(use_true_random=False))
+def test_first_hits_row_by_row_and_matrix_agree(inputs, rnd):
+    """Small groups are tested row by row, larger ones by the matrix pass;
+    both find each row's first dominator before its end."""
+    values, _ = inputs
+    cols = values[::-1]
+    expected = _brute_first(values, cols)
+    # A row's end lies past its first dominator: no dominator beyond it
+    # is left unmasked, as first_hits requires.
+    ends = np.array(
+        [rnd.randint(f + 1, len(cols)) if f >= 0 else rnd.randint(0, len(cols)) for f in expected]
+    )
+    for min_rows in (0, len(values) + 1):  # all matrix, all row by row
+        with mock.patch.object(settle_module, "MATRIX_MIN_ROWS", min_rows):
+            assert first_hits(values, cols, ends).tolist() == expected
 
 
 class _ForwardingProxy:
