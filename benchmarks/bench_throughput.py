@@ -4,10 +4,9 @@ Isolates the *scan phase* of the boosted pipeline — Merge (Algorithm 1)
 runs once, outside the timed region, then each host's ``run_phase`` is
 timed repeatedly with a fresh container per repeat:
 
-- **scalar**: the per-point loop, one unmemoized index query and
-  candidate gather per testing point (and, for SDI, the per-point filter
-  + stable sort) — the reference path, kept behind ``SDI(batched=False)``
-  over a :class:`PointwiseSubsetContainer` built with ``memoize=False``;
+- **scalar**: the per-point loop, one index query and candidate gather
+  per testing point — the hosts' scan over a
+  :class:`PointwiseSubsetContainer`, the reference path;
 - **batched**: the grouped settlement of :mod:`repro.core.settle`, one
   index walk and one matrix pass per subspace over a ``SubsetContainer``.
   On the canonical configuration the batched times must also beat the
@@ -78,12 +77,8 @@ from repro.stats.counters import DominanceCounter
 
 SCHEMA_VERSION = 2
 
-#: host name -> (scalar factory, batched factory)
-HOSTS = {
-    "sdi": (lambda: SDI(batched=False), lambda: SDI(batched=True)),
-    "sfs": (SFS, SFS),
-    "salsa": (SaLSa, SaLSa),
-}
+#: host name -> host class; both arms run the same host.
+HOSTS = {"sdi": SDI, "sfs": SFS, "salsa": SaLSa}
 
 #: Best-of-3 batched map-index scan times recorded by PR 2 on the
 #: canonical cold single-query scenario (UI, n=100k, d=8, seed=0).  The
@@ -190,7 +185,7 @@ class PointwiseSubsetContainer(SubsetContainer):
     by_subspace = False
 
 
-def time_scan_phase(dataset, merged, host_factory, container_type, memoize, repeats):
+def time_scan_phase(dataset, merged, host_factory, container_type, repeats):
     """Best-of-``repeats`` wall clock of one host's scan phase."""
     d = dataset.dimensionality
     masks = np.zeros(dataset.cardinality, dtype=np.int64)
@@ -200,7 +195,7 @@ def time_scan_phase(dataset, merged, host_factory, container_type, memoize, repe
     counter = DominanceCounter()
     for _ in range(repeats):
         counter = DominanceCounter()
-        container = container_type(dataset.values, d, counter, memoize=memoize)
+        container = container_type(dataset.values, d, counter)
         host = host_factory()
         start = time.perf_counter()
         skyline = host.run_phase(
@@ -246,17 +241,12 @@ def run_batched_vs_scalar(kind, n, d, seed, repeats):
     }
     ok = True
     ratios = []
-    for name, (scalar_factory, batched_factory) in HOSTS.items():
+    for name, host in HOSTS.items():
         scalar_sky, scalar_counter, scalar_s = time_scan_phase(
-            dataset,
-            merged,
-            scalar_factory,
-            PointwiseSubsetContainer,
-            memoize=False,
-            repeats=repeats,
+            dataset, merged, host, PointwiseSubsetContainer, repeats
         )
         batched_sky, batched_counter, batched_s = time_scan_phase(
-            dataset, merged, batched_factory, SubsetContainer, memoize=True, repeats=repeats
+            dataset, merged, host, SubsetContainer, repeats
         )
         identical = (
             scalar_sky == batched_sky
@@ -270,8 +260,6 @@ def run_batched_vs_scalar(kind, n, d, seed, repeats):
             "skyline_size": len(batched_sky),
             "dominance_tests": batched_counter.tests,
             "scalar_dominance_tests": scalar_counter.tests,
-            "index_cache_hits": batched_counter.index_cache_hits,
-            "index_cache_misses": batched_counter.index_cache_misses,
             "identical": identical,
         }
         if canonical and batched_s:

@@ -32,7 +32,7 @@ def main() -> None:
     index.put(point_id=0, subspace=0b0011)   # this point beats pivots in dims {0,1}
     index.put(point_id=1, subspace=0b0111)   # ... in dims {0,1,2}
     index.put(point_id=2, subspace=0b1000)   # ... in dim {3}
-    candidates = index.query(0b0011)          # who could dominate a {0,1} point?
+    candidates = index.query(0b0011).tolist()  # who could dominate a {0,1} point?
     print(f"\nsubset index: candidates for subspace {{0,1}} -> {sorted(candidates)}")
     print("(point 2 is provably incomparable and is never tested)")
 

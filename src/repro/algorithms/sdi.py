@@ -25,20 +25,17 @@ Key properties preserved from the original design:
 One dominance test is charged per compared skyline point, exactly as a
 sequential early-exit loop would.
 
-Batched scan
-------------
-The scalar scan pays, per testing point, an ``O(k)`` boolean prefix filter
-plus an ``O(k log k)`` sort over its candidate block.  The batched scan
-(default) sorts nothing.  A dominator is at most the testing point in
-every column, so it always lies in the dimension prefix, and the first
-dominator the sorted scan would meet is the ``(value, insertion)``-least
-one.  The charge is its rank in the prefix plus one, or the prefix length
-when nothing dominates.  :func:`~repro.dominance.first_dominator_prefix`
-computes both in one pass over the column-backed candidate block (see
-:class:`~repro.core.container.SkylineContainer`), so skyline output and
-charged dominance tests are bit-identical to the scalar path;
-``SDI(batched=False)`` keeps that path for differential tests and
-benchmarks.
+Prefix test
+-----------
+The per-point scan filters and sorts nothing.  A dominator is at most the
+testing point in every column, so it always lies in the dimension prefix,
+and the first dominator a scan of the prefix sorted by value would meet
+is the ``(value, insertion)``-least one.  The charge is its rank in the
+prefix plus one, or the prefix length when nothing dominates.
+:func:`~repro.dominance.first_dominator_prefix` computes both in one pass
+over the column-backed candidate block (see
+:class:`~repro.core.container.SkylineContainer`); the tests hold it to
+that filter-then-sort reference.
 
 Grouped scan
 ------------
@@ -47,8 +44,7 @@ time instead (:mod:`repro.core.settle`): survivor status does not depend
 on the visit order, so the groups are settled first, the traversal is
 replayed with every status known, and the charges are read off one
 ``(value, insertion)`` order per dimension (:func:`_prefix_charges`).
-Ids and charged tests are those of the per-point scan; ``batched`` then
-changes nothing.
+Ids and charged tests are those of the per-point scan.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ from repro.algorithms.base import SkylineAlgorithm
 from repro.core.container import ListContainer, SkylineContainer
 from repro.core.settle import first_hits, settle, subspace_groups
 from repro.dataset import Dataset
-from repro.dominance import first_dominator, first_dominator_prefix, scan_order
+from repro.dominance import first_dominator_prefix, scan_order
 from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
 
@@ -71,26 +67,13 @@ _UNKNOWN, _SKYLINE, _DOMINATED = 0, 1, 2
 
 
 class SDI(SkylineAlgorithm):
-    """Sorted-dimension-index skyline with breadth-first dimension traversal.
-
-    Parameters
-    ----------
-    batched:
-        Run the per-point prefix test as one unsorted pass over the
-        candidate block (default).  ``False`` re-filters and re-sorts the
-        candidate block per testing point — the scalar reference path with
-        identical output and test accounting.  A grouped scan over a
-        subset container runs neither.
-    """
+    """Sorted-dimension-index skyline with breadth-first dimension traversal."""
 
     name = "sdi"
 
     #: The sort phase (per-dimension indexes + stop point) is cacheable via
     #: the ``sort_cache`` parameter of :meth:`run_phase`.
     supports_sort_cache = True
-
-    def __init__(self, batched: bool = True) -> None:
-        self.batched = batched
 
     def _run(self, dataset: Dataset, counter: DominanceCounter) -> list[int]:
         ids = np.arange(dataset.cardinality, dtype=np.intp)
@@ -138,23 +121,15 @@ class SDI(SkylineAlgorithm):
         if container.by_subspace:
             return _settled_scan(values, orders, stop_point, masks, container, counter)
         masks_list = masks.tolist()
-        batched = self.batched
 
         def test(point_id: int, dim: int) -> bool:
             mask = masks_list[point_id]
             _, block = container.candidates(mask)
             point = values[point_id]
-            if batched:
-                undominated = (
-                    first_dominator_prefix(block, block[:, dim], point[dim], point, counter)
-                    == -1
-                )
-            else:
-                if block.shape[0]:
-                    block = block[block[:, dim] <= point[dim]]
-                    if block.shape[0]:
-                        block = block[np.argsort(block[:, dim], kind="stable")]
-                undominated = first_dominator(block, point, counter) == -1
+            undominated = (
+                first_dominator_prefix(block, block[:, dim], point[dim], point, counter)
+                == -1
+            )
             if undominated:
                 container.add(point_id, mask)
             return undominated

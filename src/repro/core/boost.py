@@ -103,7 +103,6 @@ def run_boosted_scan(
     sigma: int | None = None,
     container: str = "subset",
     pivot_strategy: str = "euclidean",
-    memoize: bool = True,
     merged: MergeResult | None = None,
     sort_cache: MutableMapping[str, object] | None = None,
 ) -> list[int]:
@@ -140,7 +139,7 @@ def run_boosted_scan(
     masks[merged.remaining_ids] = merged.masks
     store: SkylineContainer
     if container == "subset":
-        store = SubsetContainer(dataset.values, d, counter, memoize=memoize)
+        store = SubsetContainer(dataset.values, d, counter)
     else:
         # Ablation mode: identical merge phase, plain list store — this
         # isolates the contribution of the subset index (Algs. 2-4)
@@ -181,10 +180,6 @@ class SubsetBoost:
     sigma:
         Stability threshold for Merge; defaults to the paper's rounded
         ``d/3`` heuristic at compute time.
-    memoize:
-        Forwarded to the subset index's per-subspace query cache.  A
-        boosted scan walks each subspace once and never reads the cache,
-        so this changes neither its result nor its counters.
 
     >>> from repro.algorithms.sfs import SFS
     >>> from repro.data import generate
@@ -200,7 +195,6 @@ class SubsetBoost:
         sigma: int | None = None,
         container: str = "subset",
         pivot_strategy: str = "euclidean",
-        memoize: bool = True,
     ) -> None:
         if not isinstance(host, BoostableHost):
             raise TypeError(
@@ -212,7 +206,6 @@ class SubsetBoost:
         self.sigma = sigma
         self.container = container
         self.pivot_strategy = pivot_strategy
-        self.memoize = memoize
         self.name = f"{host.name}-subset"
 
     def compute(
@@ -234,5 +227,4 @@ class SubsetBoost:
             sigma=self.sigma,
             container=self.container,
             pivot_strategy=self.pivot_strategy,
-            memoize=self.memoize,
         )

@@ -155,9 +155,9 @@ class SubsetContainer(SkylineContainer):
 
     ``candidates(mask)`` returns only the stored points whose maximum
     dominating subspace is a superset of ``mask`` — the minimal correct
-    candidate set — and :meth:`walk` the same ids from one unmemoized tree
-    walk.  Index accesses are recorded on the counter separately from
-    dominance tests.
+    candidate set — in insertion order, and :meth:`walk` the same ids
+    unordered; each is one tree walk.  Index accesses are recorded on the
+    counter separately from dominance tests.
 
     Parameters
     ----------
@@ -168,11 +168,6 @@ class SubsetContainer(SkylineContainer):
         but :meth:`candidates` — which gathers coordinate rows — raises.
         The streaming extension uses this mode: it owns its own row
         storage (points arrive one at a time).
-    memoize:
-        Forwarded to the index's per-subspace cache of :meth:`query_ids`
-        and :meth:`candidates`.  ``False`` reproduces the scalar reference
-        path (a fresh traversal per query) with bit-identical results.
-        Grouped scans walk each subspace once and never use the cache.
     """
 
     by_subspace = True
@@ -182,10 +177,9 @@ class SubsetContainer(SkylineContainer):
         values: np.ndarray | None,
         d: int,
         counter: DominanceCounter | None = None,
-        memoize: bool = True,
     ) -> None:
         self._values = values
-        self._index = SkylineIndex(d, memoize=memoize)
+        self._index = SkylineIndex(d)
         self._counter = counter
         # Insertion-ordered, so ``ids()`` keeps the add order and
         # ``remove`` is O(1).
@@ -207,20 +201,19 @@ class SubsetContainer(SkylineContainer):
     def remove(self, point_id: int, mask: int) -> None:
         """Remove a point previously :meth:`add`-ed under ``mask``.
 
-        Needed by incremental maintenance (streaming deletes); the index
-        bumps its epoch so memoized views rebuild instead of trusting the
-        stable-prefix contract.
+        Needed by incremental maintenance (streaming deletes).
         """
         self._index.remove(point_id, mask)
         del self._all_ids[point_id]
 
     def clear(self) -> None:
-        """Drop every stored point and all cached per-mask views."""
+        """Drop every stored point."""
         self._index.clear()
         self._all_ids.clear()
 
-    def query_ids(self, mask: int) -> list[int]:
-        """Candidate ids for ``mask``, without gathering coordinate rows.
+    def query_ids(self, mask: int) -> np.ndarray:
+        """Candidate ids for ``mask`` in insertion order, as an ``intp``
+        array, without gathering coordinate rows.
 
         The id-level complement of :meth:`candidates` for hosts that keep
         their own row storage (works on value-less containers too).
@@ -236,7 +229,7 @@ class SubsetContainer(SkylineContainer):
                 "candidates() needs the value matrix; this container was "
                 "built id-only (values=None) — use query_ids() instead"
             )
-        ids = np.array(self._index.query(mask, self._counter), dtype=np.intp)
+        ids = self._index.query(mask, self._counter)
         ids.flags.writeable = False
         return ids, self._values.T.take(ids, axis=1).T  # column-backed, like the list's
 

@@ -81,32 +81,11 @@ class MergeResult:
     final_stability: int
     exhausted: bool
     metadata: dict[str, object] = field(default_factory=dict)
-    _position_of: dict[int, int] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def initial_skyline_ids(self) -> list[int]:
         """All skyline points identified during the merge phase."""
         return [*self.pivot_ids, *self.duplicate_skyline_ids]
-
-    def mask_of(self, point_id: int) -> int:
-        """The maximum dominating subspace of a remaining point.
-
-        ``O(1)`` after a lazily built id → position map (a caller that
-        looks masks up per testing point would otherwise pay a linear
-        ``np.nonzero`` scan per lookup, quadratic overall).
-        """
-        if self._position_of is None:
-            positions = {
-                int(pid): pos for pos, pid in enumerate(self.remaining_ids)
-            }
-            object.__setattr__(self, "_position_of", positions)
-        assert self._position_of is not None
-        position = self._position_of.get(point_id)
-        if position is None:
-            raise KeyError(f"point {point_id} is not in the remaining set")
-        return int(self.masks[position])
 
 
 #: Pivot scoring strategies for the ablation study.  Every strategy must

@@ -18,41 +18,23 @@ exactly the stored subsets of ``Q``.
 Complexities match Lemmas 5.2/5.3: ``put`` is ``O(|D^¬|)`` (average
 ``O(d/2)``) and ``query`` visits ``O((d/2)^2)`` nodes on average.
 
-Memoization
------------
-During a boosted scan the number of *distinct* query subspaces is far
-smaller than the number of testing points, so repeated queries are the
-common case.  The index therefore keeps a per-subspace result cache with
-generation-based invalidation:
-
-- every ``put``/``remove`` advances :attr:`generation`;
-- while any entry is cached, a ``put`` is appended to an in-order log,
-  and a stale cache entry is *repaired* by scanning only the log suffix
-  it has not yet incorporated (a put can only ever append candidates to a
-  superset query's result); an index no query has cached into, such as
-  one a grouped scan walks, keeps no log;
-- a ``remove`` (or ``clear``) advances the *epoch*, discarding every
-  cached entry wholesale — removals are rare (streaming only), appends
-  are the hot path.
-
-Query results are canonically ordered by **insertion sequence** (the order
-points were ``put``), which is what makes log-repair a pure append.
-Memoized and unmemoized queries return bit-identical lists; only
-``index_nodes_visited`` differs (a cache hit touches no tree nodes).
-
-Group walks
------------
-A boosted scan settles its testing points one subspace at a time
-(:mod:`repro.core.settle`), so it asks each subspace once:
-:meth:`SkylineIndex.walk` is that one tree walk, unordered and without a
-cache entry, and :meth:`SkylineIndex.put_many` stores a group of points of
-one subspace with one path walk.
+The index keeps no query results: every query is one tree walk, read two
+ways.  :meth:`SkylineIndex.walk` returns the ids unordered, which is all a
+boosted scan needs (:mod:`repro.core.settle` asks each subspace once), and
+:meth:`SkylineIndex.query` returns them in **insertion order** (the order
+points were ``put``), which the streaming extension's probes rely on.
+Each node holds its points in insertion order, in machine-int arrays, so
+a read joins the visited nodes' arrays with one copy each and hands the
+result to numpy without a per-element conversion; ``query`` then orders
+the ids with one argsort of their sequence numbers.
+:meth:`SkylineIndex.put_many` stores a group of points of one subspace with
+one path walk.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable
-from typing import TypeVar
 
 import numpy as np
 
@@ -68,33 +50,24 @@ from repro.structures import bitset
 #: tracing each one would dominate the cost being measured.
 _TRACE_SAMPLE = 64
 
-_Result = TypeVar("_Result", list[int], np.ndarray)
+#: The ``array`` typecode of numpy's ``intp``: node arrays joined by a
+#: read wrap into an ``intp`` array without conversion.
+_INTP = np.dtype(np.intp).char
 
 
 class _Node:
-    """One key-value pair of Figure 3: a point bucket plus sub-maps."""
+    """One key-value pair of Figure 3: a point bucket plus sub-maps.
+
+    ``seqs[k]`` is the insertion sequence number of ``points[k]``; both
+    grow in insertion order.
+    """
 
     __slots__ = ("points", "seqs", "children")
 
     def __init__(self) -> None:
-        self.points: list[int] = []
-        self.seqs: list[int] = []
+        self.points: array[int] = array(_INTP)
+        self.seqs: array[int] = array(_INTP)
         self.children: dict[int, _Node] = {}
-
-
-class _CacheEntry:
-    """Memoized result of one query subspace.
-
-    The query's ids in insertion order, valid within one index ``epoch``;
-    ``log_pos`` marks how much of the index's put-log they incorporate.
-    """
-
-    __slots__ = ("ids", "epoch", "log_pos")
-
-    def __init__(self, epoch: int, log_pos: int, ids: list[int]) -> None:
-        self.ids = ids
-        self.epoch = epoch
-        self.log_pos = log_pos
 
 
 class SkylineIndex:
@@ -104,41 +77,23 @@ class SkylineIndex:
     ----------
     d:
         Dimensionality of the space; subspace masks must fit in ``d`` bits.
-    memoize:
-        Keep the per-subspace result cache of :meth:`query` (default).
-        ``False`` forces a full tree traversal on every query — the scalar
-        reference path used by the differential tests and the throughput
-        benchmark baseline.  :meth:`walk` never uses the cache.
 
     >>> idx = SkylineIndex(d=4)
     >>> idx.put(7, subspace=0b0011)   # D = {0, 1}, stored under D^¬ = {2, 3}
     >>> idx.put(9, subspace=0b0111)   # D = {0, 1, 2}, stored under {3}
-    >>> sorted(idx.query(0b0011))     # supersets of {0, 1}: both points
+    >>> idx.query(0b0011).tolist()    # supersets of {0, 1}: both points
     [7, 9]
-    >>> idx.query(0b0111)             # supersets of {0, 1, 2}: only point 9
+    >>> idx.query(0b0111).tolist()    # supersets of {0, 1, 2}: only point 9
     [9]
     """
 
-    def __init__(self, d: int, memoize: bool = True) -> None:
+    def __init__(self, d: int) -> None:
         if d < 1:
             raise InvalidParameterError(f"dimensionality must be >= 1, got {d}")
         self._d = d
-        self._memoize = memoize
         self._root = _Node()
         self._size = 0
         self._seq = 0
-        self._generation = 0
-        self._epoch = 0
-        # The put-log as parallel growing arrays, so stale cache entries
-        # repair themselves with one vectorised superset test over the
-        # unseen suffix instead of a Python loop.
-        self._log_pids = np.empty(16, dtype=np.intp)
-        self._log_subs = np.empty(16, dtype=np.int64)
-        self._log_size = 0
-        self._cache: dict[int, _CacheEntry] = {}
-        self._hits = 0
-        self._misses = 0
-        self._invalidations = 0
         # The ambient tracer is captured once at construction: the index
         # lives inside one engine execution, and per-query ContextVar
         # lookups would tax the hot path.  ``_trace_every == 0`` (the
@@ -150,22 +105,6 @@ class SkylineIndex:
     @property
     def dimensionality(self) -> int:
         return self._d
-
-    @property
-    def memoized(self) -> bool:
-        """Whether the per-subspace result cache is active."""
-        return self._memoize
-
-    @property
-    def generation(self) -> int:
-        """Monotone change counter: advances on every ``put``/``remove``."""
-        return self._generation
-
-    @property
-    def epoch(self) -> int:
-        """Advances on ``remove``/``clear`` — changes that can *shrink* or
-        reorder query results, invalidating append-only derived views."""
-        return self._epoch
 
     def __len__(self) -> int:
         """Number of stored points."""
@@ -184,15 +123,6 @@ class SkylineIndex:
         node.seqs.append(self._seq)
         self._seq += 1
         self._size += 1
-        self._generation += 1
-        if self._cache:  # only cache entries read the log
-            n = self._log_size
-            if n == self._log_pids.shape[0]:
-                self._log_pids = np.resize(self._log_pids, 2 * n)
-                self._log_subs = np.resize(self._log_subs, 2 * n)
-            self._log_pids[n] = point_id
-            self._log_subs[n] = subspace
-            self._log_size = n + 1
 
     def put_many(self, point_ids: list[int], subspace: int) -> None:
         """:meth:`put` for several points of one subspace, in order: one path walk."""
@@ -202,16 +132,6 @@ class SkylineIndex:
         node.seqs.extend(range(self._seq, self._seq + count))
         self._seq += count
         self._size += count
-        self._generation += count
-        if self._cache:  # only cache entries read the log
-            n = self._log_size
-            if n + count > self._log_pids.shape[0]:
-                capacity = max(n + count, 2 * self._log_pids.shape[0])
-                self._log_pids = np.resize(self._log_pids, capacity)
-                self._log_subs = np.resize(self._log_subs, capacity)
-            self._log_pids[n : n + count] = point_ids
-            self._log_subs[n : n + count] = subspace
-            self._log_size = n + count
 
     def _leaf(self, subspace: int) -> _Node:
         """The node ``subspace``'s points are stored at, created on demand."""
@@ -224,56 +144,51 @@ class SkylineIndex:
             node = child
         return node
 
-    def query(self, subspace: int, counter: DominanceCounter | None = None) -> list[int]:
-        """Algorithms 3–4: all points whose subspace ⊇ ``subspace``.
+    def query(self, subspace: int, counter: DominanceCounter | None = None) -> np.ndarray:
+        """Algorithms 3–4: the ids stored under supersets of ``subspace``,
+        as an ``intp`` array in insertion order.
 
-        Results are ordered by insertion sequence.  On a cache miss (or
-        with ``memoize=False``) the reversed-subspace paths are traversed
-        and node visits are recorded on ``counter`` (they are index
-        accesses, *not* dominance tests); a cache hit touches no nodes and
-        records zero visits.
+        One tree walk: records one query and its node visits on
+        ``counter`` (index accesses, *not* dominance tests).
         """
         if self._trace_every and self._sample():
             return self._traced(self._query, subspace, counter)
         return self._query(subspace, counter)
 
     def walk(self, subspace: int, counter: DominanceCounter | None = None) -> np.ndarray:
-        """Algorithms 3–4 as one tree walk: the ids stored under supersets
-        of ``subspace``, as an ``intp`` array in no particular order.
-
-        Records one query and its node visits on ``counter``, like an
-        unmemoized :meth:`query`, and neither reads nor builds a cache
-        entry: a grouped scan walks each subspace once.
-        """
+        """:meth:`query`'s ids in no particular order: the same tree walk
+        and the same accounting, without the ordering sort.  A grouped
+        scan walks each subspace once."""
         if self._trace_every and self._sample():
             return self._traced(self._walk, subspace, counter)
         return self._walk(subspace, counter)
 
-    def _query(
-        self, subspace: int, counter: DominanceCounter | None
-    ) -> list[int]:
-        if not self._memoize:
-            ids, visited = self._traverse(subspace)
-            if counter is not None:
-                counter.add_query(visited)
-            return ids
-        return list(self._entry(subspace, counter).ids)
+    def _query(self, subspace: int, counter: DominanceCounter | None) -> np.ndarray:
+        points: array[int] = array(_INTP)
+        seqs: array[int] = array(_INTP)
+        occupied = 0
+        for node in self._nodes(subspace, counter):
+            if node.points:
+                points += node.points
+                seqs += node.seqs
+                occupied += 1
+        ids = np.frombuffer(points, dtype=np.intp)
+        if occupied > 1:  # one node's points are already in insertion order
+            ids = ids[np.argsort(np.frombuffer(seqs, dtype=np.intp))]
+        return ids
 
     def _walk(self, subspace: int, counter: DominanceCounter | None) -> np.ndarray:
-        nodes = self._nodes(subspace)
-        if counter is not None:
-            counter.add_query(len(nodes))
-        found: list[int] = []
-        for node in nodes:
+        found: array[int] = array(_INTP)
+        for node in self._nodes(subspace, counter):
             found += node.points
-        return np.array(found, dtype=np.intp)
+        return np.frombuffer(found, dtype=np.intp)
 
     def _traced(
         self,
-        fetch: Callable[[int, DominanceCounter | None], _Result],
+        fetch: Callable[[int, DominanceCounter | None], np.ndarray],
         subspace: int,
         counter: DominanceCounter | None,
-    ) -> _Result:
+    ) -> np.ndarray:
         """Run one sampled query under the tracer as an ``index.query`` span."""
         result, elapsed = timed(lambda: fetch(subspace, counter))
         self._tracer.record(
@@ -293,48 +208,10 @@ class SkylineIndex:
             return True
         return False
 
-    def _entry(self, subspace: int, counter: DominanceCounter | None) -> _CacheEntry:
-        """The up-to-date cache entry for ``subspace`` (memoized path)."""
-        entry = self._cache.get(subspace)
-        if entry is not None and entry.epoch == self._epoch:
-            log_size = self._log_size
-            pos = entry.log_pos
-            if pos < log_size:
-                match = bitset.subset_of_many(
-                    subspace, self._log_subs[pos:log_size]
-                )
-                entry.ids += self._log_pids[pos:log_size][match].tolist()
-                entry.log_pos = log_size
-            self._hits += 1
-            if counter is not None:
-                counter.add_query(0)
-                counter.add_cache_hit()
-            return entry
-        invalidated = 0
-        if entry is not None:
-            invalidated = 1
-            self._invalidations += 1
-        ids, visited = self._traverse(subspace)
-        entry = _CacheEntry(self._epoch, self._log_size, ids)
-        self._cache[subspace] = entry
-        self._misses += 1
-        if counter is not None:
-            counter.add_query(visited)
-            counter.add_cache_miss(invalidated)
-        return entry
-
-    def _traverse(self, subspace: int) -> tuple[list[int], int]:
-        """Full tree walk: insertion-ordered ids plus nodes visited."""
-        nodes = self._nodes(subspace)
-        collected: list[tuple[int, int]] = []
-        for node in nodes:
-            collected.extend(zip(node.seqs, node.points))
-        collected.sort()
-        return [point_id for _, point_id in collected], len(nodes)
-
-    def _nodes(self, subspace: int) -> list[_Node]:
+    def _nodes(self, subspace: int, counter: DominanceCounter | None) -> list[_Node]:
         """The nodes a query for ``subspace`` visits: every root path that
-        uses only dimensions of the reversed subspace."""
+        uses only dimensions of the reversed subspace.  Records the query
+        and its node visits on ``counter``."""
         reversed_mask = self._reversed(subspace)
         nodes = [self._root]
         visit = nodes.append
@@ -346,6 +223,8 @@ class SkylineIndex:
             for dim, child in node.children.items():
                 if reversed_mask >> dim & 1:  # noqa: RPR002 — bitset.has_dim inlined in the walk's innermost loop
                     visit(child)
+        if counter is not None:
+            counter.add_query(len(nodes))
         return nodes
 
     def _reversed(self, subspace: int) -> int:
@@ -360,8 +239,7 @@ class SkylineIndex:
         Needed by the streaming extension (Section 7's perspective (3));
         raises ``KeyError`` when the point is not stored under that
         subspace.  Emptied nodes are left in place — subspace paths recur,
-        so keeping them avoids re-allocation churn.  The whole result
-        cache is invalidated (epoch advance): repairs only model appends.
+        so keeping them avoids re-allocation churn.
         """
         reversed_mask = self._reversed(subspace)
         node = self._root
@@ -372,32 +250,15 @@ class SkylineIndex:
                     f"point {point_id} not stored under subspace {subspace:#x}"
                 )
             node = child
-        try:
-            position = node.points.index(point_id)
-        except ValueError:
-            raise KeyError(
-                f"point {point_id} not stored under subspace {subspace:#x}"
-            ) from None
+        # One vectorised scan: ``array.index`` would box every stored id.
+        # The buffer view is released before ``pop`` resizes the array.
+        hits = np.flatnonzero(np.frombuffer(node.points, dtype=np.intp) == point_id)
+        if not hits.size:
+            raise KeyError(f"point {point_id} not stored under subspace {subspace:#x}")
+        position = int(hits[0])
         node.points.pop(position)
         node.seqs.pop(position)
         self._size -= 1
-        self._generation += 1
-        self._invalidate_all()
-
-    def _invalidate_all(self) -> None:
-        self._invalidations += len(self._cache)
-        self._cache.clear()
-        self._log_size = 0
-        self._epoch += 1
-
-    def cache_stats(self) -> dict[str, int]:
-        """Lifetime memoization statistics of this index instance."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "invalidations": self._invalidations,
-            "entries": len(self._cache),
-        }
 
     def node_count(self) -> int:
         """Total number of tree nodes (root included); index-size statistic."""
@@ -441,8 +302,6 @@ class SkylineIndex:
         return result
 
     def clear(self) -> None:
-        """Drop all stored points, nodes and cached query results."""
+        """Drop all stored points and nodes."""
         self._root = _Node()
         self._size = 0
-        self._generation += 1
-        self._invalidate_all()

@@ -157,13 +157,12 @@ class Dataset:
     def minimizing(self, maximize_dims: Sequence[int]) -> "Dataset":
         """Convert max-is-better columns into the library's min convention.
 
-        Each listed column ``j`` is replaced by ``max(col_j) - col_j``, a
-        monotone flip that preserves the skyline.
+        Each listed column ``j`` is replaced by ``-col_j``: exact negation,
+        which reverses the column's order and preserves the skyline.
         """
         flipped = np.array(self.values, copy=True)
-        for dim in maximize_dims:
-            column = flipped[:, dim]
-            flipped[:, dim] = column.max() - column
+        dims = list(maximize_dims)
+        flipped[:, dims] = -flipped[:, dims]
         return Dataset(
             flipped,
             name=f"{self.name}[minimizing]",

@@ -82,10 +82,13 @@ class DeltaReport:
         The prepared dataset's version after the call.
     merge_repaired, merge_dropped:
         Cached Merge results suffix-repaired vs dropped as unrepairable.
-    views_repaired, views_dropped:
-        Cached subspace views delta-repaired recursively vs dropped (a
-        direction-flipped view is dropped when the delta moves a flipped
-        column's maximum, which its projection is relative to).
+    views_repaired:
+        Cached subspace views delta-repaired recursively: every view, since
+        a view flips a maximized column by exact negation, which a delta
+        cannot shift.
+    views_dropped:
+        Always 0; kept because perfbench reports it
+        (``prepared.views_dropped``).
     sort_tagged, sort_dropped:
         Sort caches tagged for lazy suffix repair at the next scan vs
         dropped (entries without key arrays, or a min-corner change).
@@ -323,13 +326,6 @@ def absorb_since(
     target.index_queries += current.index_queries - since.index_queries
     target.index_nodes_visited += (
         current.index_nodes_visited - since.index_nodes_visited
-    )
-    target.index_cache_hits += current.index_cache_hits - since.index_cache_hits
-    target.index_cache_misses += (
-        current.index_cache_misses - since.index_cache_misses
-    )
-    target.index_cache_invalidations += (
-        current.index_cache_invalidations - since.index_cache_invalidations
     )
     target.prepared_cache_hits += (
         current.prepared_cache_hits - since.prepared_cache_hits

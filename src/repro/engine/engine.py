@@ -92,7 +92,6 @@ class SkylineEngine:
         plan: Plan | None = None,
         container: str = "subset",
         pivot_strategy: str = "euclidean",
-        memoize: bool = True,
         workers: int | None = None,
         parallel_strategy: str | None = None,
         incremental: bool | None = None,
@@ -137,7 +136,6 @@ class SkylineEngine:
                         sigma,
                         container=container,
                         pivot_strategy=pivot_strategy,
-                        memoize=memoize,
                         workers=workers,
                         parallel_strategy=parallel_strategy,
                         incremental=incremental,
@@ -307,7 +305,6 @@ class SkylineEngine:
                 sigma=plan.sigma,
                 container=plan.container,
                 pivot_strategy=plan.pivot_strategy,
-                memoize=plan.memoize,
                 merged=merged,
                 sort_cache=sort_cache,
             )

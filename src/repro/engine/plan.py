@@ -3,7 +3,7 @@
 A plan is to the skyline operator what ``EXPLAIN`` output is to a SQL
 query: which host algorithm runs, whether the subset boost wraps it, which
 container backs the scan, the stability threshold σ, and the execution
-knobs (memoization, batching, worker count) — plus the signals and reasons
+knobs (worker count, parallel strategy) — plus the signals and reasons
 that led there.  Plans are immutable and comparable, so planner
 determinism is testable as plain equality.
 """
@@ -39,9 +39,6 @@ class Plan:
         Skyline store for the boosted scan: ``"subset"`` or ``"list"``.
     pivot_strategy:
         Merge pivot selection strategy.
-    memoize:
-        Whether the subset index's per-subspace query cache is enabled.
-        A boosted scan walks each subspace once and never reads it.
     workers:
         Process count for block-parallel execution; ``1`` is sequential.
     parallel_strategy:
@@ -98,7 +95,6 @@ class Plan:
     sigma: int | None = None
     container: str = "subset"
     pivot_strategy: str = "euclidean"
-    memoize: bool = True
     workers: int = 1
     parallel_strategy: str = "none"
     prefix_size: int = 0
@@ -133,8 +129,8 @@ class Plan:
 
         Encodes everything that changes the scanned id set or the scan
         order: host name and options, boost mode, σ and pivot strategy
-        (these determine ``remaining_ids``).  The container, memoization
-        knobs deliberately do not appear — they change neither.
+        (these determine ``remaining_ids``).  The container deliberately
+        does not appear — it changes neither.
         """
         options = ",".join(f"{k}={v!r}" for k, v in self.host_options)
         if self.boosted:
@@ -163,7 +159,6 @@ class Plan:
             lines.append(
                 f"  boost: merge(σ={self.sigma}, pivots={self.pivot_strategy})"
                 f" -> {self.container} container"
-                f" (memoize={'on' if self.memoize else 'off'})"
             )
         else:
             lines.append("  boost: off (plain list container)")

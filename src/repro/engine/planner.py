@@ -121,7 +121,6 @@ class Planner:
         *,
         container: str = "subset",
         pivot_strategy: str = "euclidean",
-        memoize: bool = True,
         workers: int | None = None,
         parallel_strategy: str | None = None,
         incremental: bool | None = None,
@@ -171,7 +170,6 @@ class Planner:
                 sigma,
                 container=container,
                 pivot_strategy=pivot_strategy,
-                memoize=memoize,
                 workers=workers,
                 parallel_strategy=parallel_strategy,
                 host_options=options,
@@ -181,7 +179,6 @@ class Planner:
             sigma,
             container=container,
             pivot_strategy=pivot_strategy,
-            memoize=memoize,
             workers=workers,
             parallel_strategy=parallel_strategy,
             incremental=incremental,
@@ -199,7 +196,6 @@ class Planner:
         *,
         container: str,
         pivot_strategy: str,
-        memoize: bool,
         workers: int | None,
         parallel_strategy: str | None,
         host_options: tuple[tuple[str, object], ...],
@@ -242,7 +238,6 @@ class Planner:
             sigma=resolved,
             container=container,
             pivot_strategy=pivot_strategy,
-            memoize=memoize,
             # Pinned plans keep the direct-call default of sequential
             # execution unless the caller asks otherwise — the mode with
             # bit-for-bit counter parity versus get_algorithm calls.
@@ -282,7 +277,6 @@ class Planner:
         *,
         container: str,
         pivot_strategy: str,
-        memoize: bool,
         workers: int | None,
         parallel_strategy: str | None,
         incremental: bool | None,
@@ -330,7 +324,6 @@ class Planner:
             sigma=resolved_sigma,
             container=container,
             pivot_strategy=pivot_strategy,
-            memoize=memoize,
             workers=resolved_workers,
             parallel_strategy=strategy,
             prefix_size=prefix_size,

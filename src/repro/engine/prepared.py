@@ -21,12 +21,13 @@ applies an insert/delete batch and — when the delta is small enough —
 *suffix-repairs* the cached artefacts instead of dropping them: Merge
 results keep their pivots and classify the inserts (see
 :mod:`repro.engine.delta`), subspace views repair recursively (a view
-that maximizes a column is dropped only when the delta moves that
-column's maximum), and key-decomposable sort orders are tagged for a lazy
-bit-identical repair at the next scan.  The exact per-column minima and
-maxima behind those two decisions are carried across each delta in
-O(batch·d) (:meth:`PreparedDataset.extrema`), so a small delta never
-reduces the whole array.  Every delta bumps :attr:`version` exactly once.
+flips a maximized column by exact negation, so the inserts project as a
+cold view would project them), and key-decomposable sort orders are
+tagged for a lazy bit-identical repair at the next scan (when the column
+minima stay put).  The exact per-column minima and maxima are carried
+across each delta in O(batch·d) (:meth:`PreparedDataset.extrema`), so a
+small delta never reduces the whole array.  Every delta bumps
+:attr:`version` exactly once.
 The skyline itself repairs lazily: after a full query the engine *notes*
 the result (:meth:`note_skyline`); when the planner later chooses an
 incremental plan, :meth:`repair_skyline` replays the logged delta batches
@@ -84,7 +85,7 @@ from repro.stats.estimate import (
 from repro.structures.rowstore import RowStore
 
 if TYPE_CHECKING:
-    from collections.abc import Mapping, Sequence
+    from collections.abc import Sequence
 
     from repro.extensions.streaming import StreamingSkyline
 
@@ -150,13 +151,17 @@ class DatasetStatistics:
 
 
 def _project(
-    rows: np.ndarray, dims: tuple[int, ...], maxima: "Mapping[int, float]"
+    rows: np.ndarray, dims: tuple[int, ...], flip: tuple[int, ...]
 ) -> np.ndarray:
-    """``rows`` projected onto ``dims``, each column in ``maxima`` as ``max - value``."""
+    """``rows`` projected onto ``dims``, each column in ``flip`` negated.
+
+    Negation is exact, so a flipped view orders its rows exactly as the
+    original column does, reversed, whatever rows a delta adds or removes.
+    """
     projected = rows[:, dims]
     for local_dim, original_dim in enumerate(dims):
-        if original_dim in maxima:
-            projected[:, local_dim] = maxima[original_dim] - projected[:, local_dim]
+        if original_dim in flip:
+            projected[:, local_dim] = -projected[:, local_dim]
     return projected
 
 
@@ -418,8 +423,8 @@ class PreparedDataset:
 
         ``dims`` are original column indices in preference order;
         ``maximize`` lists the subset of ``dims`` whose direction is
-        max-is-better (each flipped via the monotone ``max(col) - col``,
-        matching :meth:`repro.dataset.Dataset.minimizing`).  The view is
+        max-is-better (each flipped by exact negation, ``-col``, matching
+        :meth:`repro.dataset.Dataset.minimizing`).  The view is
         itself a :class:`PreparedDataset`, so per-subspace Merge results
         and sort orders are cached independently and reused across repeated
         queries over the same subspace.
@@ -434,11 +439,9 @@ class PreparedDataset:
             self._record(counter, hit=True)
             return cached  # type: ignore[return-value]
         self._record(counter, hit=False)
-        values = self.dataset.values
-        maxima = {dim: values[:, dim].max() for dim in flip_key}
         view = PreparedDataset(
             Dataset(
-                _project(values, dims_key, maxima),
+                _project(self.dataset.values, dims_key, flip_key),
                 name=f"{self._name}[view:{dims_key}]",
                 kind=self._kind,
             ),
@@ -488,10 +491,9 @@ class PreparedDataset:
         :attr:`repair_threshold` and recomputes otherwise; ``"repair"`` and
         ``"recompute"`` force the path.  The repair path carries the column
         extrema across the delta, suffix-repairs cached Merge results and
-        every view whose flipped columns keep their maxima, tags
-        key-decomposable sort orders for lazy repair, drops everything
-        else, logs the delta for :meth:`repair_skyline` and bumps
-        :attr:`version` exactly once (the recompute path bumps through
+        every view, tags key-decomposable sort orders for lazy repair,
+        drops everything else, logs the delta for :meth:`repair_skyline`
+        and bumps :attr:`version` exactly once (the recompute path bumps through
         :meth:`invalidate`).  Repair dominance tests (insert-vs-pivot
         classification, view recursion) are charged on ``counter``.
 
@@ -576,9 +578,7 @@ class PreparedDataset:
             sort_tagged, sort_dropped = self._tag_sort_caches(
                 bool(np.array_equal(old_min, new_min)), dels, n - deleted
             )
-            views_repaired, views_dropped = self._repair_views(
-                ins, dels, old_max, old_max != new_max, run_counter
-            )
+            views_repaired = self._repair_views(ins, dels, run_counter)
             self._extrema = _read_only(new_min, new_max)
             self._artefacts.clear()
             self._statistics = None
@@ -602,7 +602,6 @@ class PreparedDataset:
             merge_repaired=merge_repaired,
             merge_dropped=merge_dropped,
             views_repaired=views_repaired,
-            views_dropped=views_dropped,
             sort_tagged=sort_tagged,
             sort_dropped=sort_dropped,
         )
@@ -747,35 +746,20 @@ class PreparedDataset:
         return tagged, dropped
 
     def _repair_views(
-        self,
-        ins: np.ndarray,
-        dels: np.ndarray,
-        maxima: np.ndarray,
-        moved: np.ndarray,
-        counter: DominanceCounter,
-    ) -> tuple[int, int]:
-        repaired = dropped = 0
+        self, ins: np.ndarray, dels: np.ndarray, counter: DominanceCounter
+    ) -> int:
+        """Repair every cached view with the delta; returns their number.
+
+        The inserts project exactly as a cold view would project them.
+        Views keep their own stable ids, so they take the positional
+        deletes and translate them themselves.
+        """
         for key in list(self._view_cache):
             dims_key, flip_key = key  # type: ignore[misc]
-            view = self._view_cache[key]
-            if moved[list(flip_key)].any():
-                # Flipped columns are projected as `max - value`; a delta
-                # that moves one of those maxima shifts every projected
-                # row, so the view is dropped and rebuilt on next use.
-                view.invalidate()  # type: ignore[attr-defined]
-                del self._view_cache[key]
-                dropped += 1
-                continue
-            # Otherwise `maxima` is still the maximum the view was built
-            # on, and the inserts project exactly as a cold view would.
-            # Views keep their own stable ids, so they take the positional
-            # deletes and translate them themselves.
-            flipped = {dim: maxima[dim] for dim in flip_key}
-            view._apply(  # type: ignore[attr-defined]
-                _project(ins, dims_key, flipped), dels, counter, "repair"
+            self._view_cache[key]._apply(  # type: ignore[attr-defined]
+                _project(ins, dims_key, flip_key), dels, counter, "repair"
             )
-            repaired += 1
-        return repaired, dropped
+        return len(self._view_cache)
 
     def _stable_merge(self, result: MergeResult) -> MergeResult:
         """A positional Merge result in stable ids, for the cache."""

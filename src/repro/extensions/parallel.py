@@ -521,9 +521,7 @@ def _seeded_union_skyline(
         masks[merged.remaining_ids] = merged.masks
         store: SkylineContainer
         if algorithm.container == "subset":
-            store = SubsetContainer(
-                union.values, d, counter, memoize=algorithm.memoize
-            )
+            store = SubsetContainer(union.values, d, counter)
         else:
             store = ListContainer(union.values)
         remaining = np.zeros(n, dtype=bool)

@@ -601,9 +601,6 @@ class StreamingSkyline:
         set.
         """
         ids = self._store.query_ids(mask)
-        ids = np.asarray(
-            ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.intp
-        )
         start, width = 0, _PROBE_CHUNK
         while start < ids.size:
             block = self._rows[ids[start : start + width]]

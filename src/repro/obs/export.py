@@ -111,10 +111,10 @@ def validate_chrome_trace(document: object) -> int:
     return len(events)
 
 
-def _hit_rate(delta: dict[str, float], kind: str) -> str:
-    """A phase's ``{kind}_cache`` hit rate as a 4-char cell ('' if idle)."""
-    hits = delta.get(f"{kind}_cache_hits", 0.0)
-    misses = delta.get(f"{kind}_cache_misses", 0.0)
+def _hit_rate(delta: dict[str, float]) -> str:
+    """A phase's prepared-cache hit rate as a 4-char cell ('' if idle)."""
+    hits = delta.get("prepared_cache_hits", 0.0)
+    misses = delta.get("prepared_cache_misses", 0.0)
     lookups = hits + misses
     if not lookups:
         return " " * 4
@@ -147,13 +147,13 @@ def _sorted_by_wall(phases: list[PhaseStats]) -> list[PhaseStats]:
 
 def phase_table(trace: Trace, width: int = 24) -> str:
     """Render a per-phase breakdown: calls, wall time, share, ΔDT, cache
-    hit rates, bars.
+    hit rate, bars.
 
     Phase rows are indented by tree depth with siblings sorted by wall
     time descending (slowest subtree first); sibling spans with the same
     name are aggregated (23 ``merge.round`` records collapse to one row
-    with ``calls=23``).  The ``idx%``/``prep%`` columns are the phase's
-    subset-index and prepared-cache hit rates, computed from the
+    with ``calls=23``).  The ``prep%`` column is the phase's
+    prepared-cache hit rate, computed from the
     :meth:`DominanceCounter.as_dict` deltas captured at span boundaries
     (blank when the phase performed no lookups).  Bars are ``#`` runs
     scaled to the slowest phase, matching
@@ -172,7 +172,7 @@ def phase_table(trace: Trace, width: int = 24) -> str:
     name_width = max(name_width, len("phase"))
     header = (
         f"{'phase'.ljust(name_width)}  {'calls':>6}  {'wall ms':>10}  "
-        f"{'%':>6}  {'ΔDT':>12}  {'idx%':>4}  {'prep%':>5}  "
+        f"{'%':>6}  {'ΔDT':>12}  {'prep%':>5}  "
     )
     lines = [header.rstrip(), "-" * (len(header) + width)]
     for phase in phases:
@@ -180,11 +180,9 @@ def phase_table(trace: Trace, width: int = 24) -> str:
         share = phase.wall_s / total * 100.0
         bar = "#" * max(1, round(phase.wall_s / peak * width)) if phase.wall_s else ""
         delta = f"{phase.dominance_tests:12.0f}" if phase.dominance_tests else " " * 12
-        index_rate = _hit_rate(phase.counter_delta, "index")
-        prepared_rate = _hit_rate(phase.counter_delta, "prepared")
         lines.append(
             f"{label.ljust(name_width)}  {phase.calls:6d}  "
             f"{phase.wall_s * 1e3:10.3f}  {share:6.1f}  {delta}  "
-            f"{index_rate:>4}  {prepared_rate:>5}  {bar}".rstrip()
+            f"{_hit_rate(phase.counter_delta):>5}  {bar}".rstrip()
         )
     return "\n".join(lines)

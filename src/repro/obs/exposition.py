@@ -38,8 +38,8 @@ def prometheus_name(name: str, prefix: str = _DEFAULT_PREFIX) -> str:
     Invalid characters (dots, dashes, spaces) become underscores; a
     leading digit gets an underscore prefix.
 
-    >>> prometheus_name("counter.index_cache_hit_rate")
-    'repro_counter_index_cache_hit_rate'
+    >>> prometheus_name("counter.prepared_cache_hit_rate")
+    'repro_counter_prepared_cache_hit_rate'
     """
     sanitised = _INVALID.sub("_", name)
     if sanitised and sanitised[0].isdigit():

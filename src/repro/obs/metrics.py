@@ -1,9 +1,8 @@
 """A flat metrics registry for one run or session.
 
 Everything the stack already measures — :class:`DominanceCounter` tallies,
-memoized-index and prepared-cache hit/miss counts, worker-pool reuse
-stats, per-phase wall/CPU time from a :class:`~repro.obs.trace.Trace` —
-lands in one ``dict[str, float]`` with dotted, sorted keys, ready for a
+prepared-cache hit/miss counts, worker-pool reuse stats, per-phase
+wall/CPU time from a :class:`~repro.obs.trace.Trace` — lands in one ``dict[str, float]`` with dotted, sorted keys, ready for a
 JSON dump (:func:`~repro.obs.export.write_metrics`) or a scrape.
 """
 
@@ -50,17 +49,11 @@ class MetricsRegistry:
     ) -> None:
         """Snapshot a :class:`DominanceCounter` under ``counter.*`` keys.
 
-        Includes derived hit rates (``counter.index_cache_hit_rate``,
-        ``counter.prepared_cache_hit_rate``) when the underlying lookups
-        are non-zero, so dashboards need no post-processing.
+        Includes the derived ``counter.prepared_cache_hit_rate`` when the
+        prepared cache was consulted, so dashboards need no post-processing.
         """
         tallies = counter.as_dict()
         self.record_many(tallies, prefix=prefix)
-        index_lookups = tallies["index_cache_hits"] + tallies["index_cache_misses"]
-        if index_lookups:
-            self._values[f"{prefix}index_cache_hit_rate"] = (
-                tallies["index_cache_hits"] / index_lookups
-            )
         prepared_lookups = (
             tallies["prepared_cache_hits"] + tallies["prepared_cache_misses"]
         )

@@ -131,20 +131,17 @@ class SkylineQuery:
             # Every row takes part: execute over the prepared, cached
             # subspace view so repeated queries share projections, Merge
             # results and sort orders, and its ids are the input's row ids.
-            # The flip (max(col) - col over all rows) matches the ephemeral
-            # path below exactly.
+            # The flip (exact negation) matches the ephemeral path below.
             target: Dataset | object = engine.prepare(dataset).view(
                 skyline_dims, maximize=sorted(max_dims), counter=counter
             )
         else:
-            # Range-filtered query: the max-flip is relative to the rows
-            # that survive the filter, so the projection is query-specific
-            # and not worth caching.
-            projected = dataset.values[np.ix_(kept_ids, skyline_dims)].copy()
+            # Range-filtered query: the projection covers only the rows
+            # that survive the filter, so it is query-specific and not
+            # worth caching.
+            projected = dataset.values[np.ix_(kept_ids, skyline_dims)]
             flip = [i for i, dim in enumerate(skyline_dims) if dim in max_dims]
-            for local_dim in flip:
-                column = projected[:, local_dim]
-                projected[:, local_dim] = column.max() - column
+            projected[:, flip] = -projected[:, flip]
             target = Dataset(
                 projected, name=f"{dataset.name}[query]", kind=dataset.kind
             )

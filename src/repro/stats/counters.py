@@ -24,17 +24,9 @@ class DominanceCounter:
     index_queries:
         Number of subset-index ``query`` calls (boosted algorithms only).
     index_nodes_visited:
-        Prefix-tree nodes touched by those queries.  A memoized query that
-        is served from the per-subspace cache touches no tree nodes, so
-        this counter measures the *actual* traversal work — dominance-test
-        accounting is unaffected by memoization.
-    index_cache_hits:
-        Memoized-index queries answered from the per-subspace cache.
-    index_cache_misses:
-        Memoized-index queries that required a full tree traversal.
-    index_cache_invalidations:
-        Cache entries discarded because the index changed under them
-        (generation mismatch after a ``remove``/``clear``).
+        Prefix-tree nodes touched by those queries.
+    index_cache_hits, index_cache_misses:
+        Always 0: the subset index keeps no query cache.
     prepared_cache_hits:
         :class:`~repro.engine.prepared.PreparedDataset` cache lookups
         (Merge results, sort keys, views, anchor masks, statistics) served
@@ -49,9 +41,11 @@ class DominanceCounter:
     tests: int = 0
     index_queries: int = 0
     index_nodes_visited: int = 0
+    # The subset index has no query cache, so these two stay 0.  They are
+    # kept because perfbench reads them by name (``workloads.COUNTER_FIELDS``)
+    # and derives ``index.hit_ratio`` from them.
     index_cache_hits: int = 0
     index_cache_misses: int = 0
-    index_cache_invalidations: int = 0
     prepared_cache_hits: int = 0
     prepared_cache_misses: int = 0
     extras: dict[str, float] = field(default_factory=dict)
@@ -64,19 +58,6 @@ class DominanceCounter:
         """Record one subset-index query that touched ``nodes_visited`` nodes."""
         self.index_queries += 1
         self.index_nodes_visited += nodes_visited
-
-    def add_cache_hit(self) -> None:
-        """Record one memoized query served without a tree traversal."""
-        self.index_cache_hits += 1
-
-    def add_cache_miss(self, invalidated: int = 0) -> None:
-        """Record one memoized query that fell through to a traversal.
-
-        ``invalidated`` counts cache entries discarded on the way (stale
-        generations found during the lookup).
-        """
-        self.index_cache_misses += 1
-        self.index_cache_invalidations += invalidated
 
     def add_prepared_hit(self, n: int = 1) -> None:
         """Record ``n`` prepared-dataset cache hits (no work performed)."""
@@ -95,9 +76,6 @@ class DominanceCounter:
         self.tests += other.tests
         self.index_queries += other.index_queries
         self.index_nodes_visited += other.index_nodes_visited
-        self.index_cache_hits += other.index_cache_hits
-        self.index_cache_misses += other.index_cache_misses
-        self.index_cache_invalidations += other.index_cache_invalidations
         self.prepared_cache_hits += other.prepared_cache_hits
         self.prepared_cache_misses += other.prepared_cache_misses
         for key, value in other.extras.items():
@@ -117,9 +95,6 @@ class DominanceCounter:
             "tests": float(self.tests),
             "index_queries": float(self.index_queries),
             "index_nodes_visited": float(self.index_nodes_visited),
-            "index_cache_hits": float(self.index_cache_hits),
-            "index_cache_misses": float(self.index_cache_misses),
-            "index_cache_invalidations": float(self.index_cache_invalidations),
             "prepared_cache_hits": float(self.prepared_cache_hits),
             "prepared_cache_misses": float(self.prepared_cache_misses),
         }
@@ -133,9 +108,6 @@ class DominanceCounter:
             tests=self.tests,
             index_queries=self.index_queries,
             index_nodes_visited=self.index_nodes_visited,
-            index_cache_hits=self.index_cache_hits,
-            index_cache_misses=self.index_cache_misses,
-            index_cache_invalidations=self.index_cache_invalidations,
             prepared_cache_hits=self.prepared_cache_hits,
             prepared_cache_misses=self.prepared_cache_misses,
             extras=dict(self.extras),
@@ -152,9 +124,6 @@ class DominanceCounter:
         self.tests = 0
         self.index_queries = 0
         self.index_nodes_visited = 0
-        self.index_cache_hits = 0
-        self.index_cache_misses = 0
-        self.index_cache_invalidations = 0
         self.prepared_cache_hits = 0
         self.prepared_cache_misses = 0
         self.extras.clear()

@@ -1,12 +1,12 @@
 """Scan paths against their references: bit-identical results.
 
-The batched per-point scan (column-backed blocks in the container, SDI's
-unsorted prefix test, memoized index queries) and the grouped settlement
-of a boosted scan (one index walk and one matrix pass per subspace) are
-pure execution-strategy changes: skylines *and* charged dominance-test
-counts must match the scalar per-point path exactly on every
-distribution.  The per-point paths of a boosted host run over a
-:class:`~tests.conftest.PointwiseSubsetContainer`.
+The grouped settlement of a boosted scan (one index walk and one matrix
+pass per subspace) is a pure execution-strategy change: skylines *and*
+charged dominance-test counts must match the per-point scan exactly on
+every distribution.  The per-point path of a boosted host runs over a
+:class:`~tests.conftest.PointwiseSubsetContainer`.  SDI's unsorted
+prefix test is held to the filter-then-sort reference in
+``tests/test_dominance.py``.
 """
 
 import numpy as np
@@ -35,13 +35,11 @@ def _run(boost, dataset):
 
 
 def _sdi_subset_paths(dataset):
-    """SDI-Subset grouped, per-point batched (memoized) and per-point
-    scalar (unmemoized): ``(ids, tests)`` of each."""
+    """SDI-Subset grouped and per-point: ``(ids, tests)`` of each."""
     grouped = _run(SubsetBoost(SDI()), dataset)
     with pointwise_boost():
-        batched = _run(SubsetBoost(SDI(batched=True), memoize=True), dataset)
-        scalar = _run(SubsetBoost(SDI(batched=False), memoize=False), dataset)
-    return grouped, batched, scalar
+        pointwise = _run(SubsetBoost(SDI()), dataset)
+    return grouped, pointwise
 
 
 class TestBatchedEqualsScalar:
@@ -49,8 +47,8 @@ class TestBatchedEqualsScalar:
     @pytest.mark.parametrize("seed", [1, 7])
     def test_sdi_subset(self, kind, seed):
         dataset = generate(kind, n=400, d=5, seed=seed)
-        grouped, batched, scalar = _sdi_subset_paths(dataset)
-        assert grouped == batched == scalar
+        grouped, pointwise = _sdi_subset_paths(dataset)
+        assert grouped == pointwise
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("host", [SFS, SaLSa])
@@ -58,9 +56,8 @@ class TestBatchedEqualsScalar:
         dataset = generate(kind, n=400, d=5, seed=3)
         grouped = _run(SubsetBoost(host()), dataset)
         with pointwise_boost():
-            memoized = _run(SubsetBoost(host(), memoize=True), dataset)
-            scalar = _run(SubsetBoost(host(), memoize=False), dataset)
-        assert grouped == memoized == scalar
+            pointwise = _run(SubsetBoost(host()), dataset)
+        assert grouped == pointwise
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -71,8 +68,8 @@ class TestBatchedEqualsScalar:
         )
     )
     def test_sdi_subset_on_random_data(self, values):
-        grouped, batched, scalar = _sdi_subset_paths(values)
-        assert grouped == batched == scalar
+        grouped, pointwise = _sdi_subset_paths(values)
+        assert grouped == pointwise
 
 
 #: Integer levels: every float sum is exact.  On ``_TIE_LEVELS`` sums tie
@@ -94,11 +91,10 @@ class TestSDIOnTies:
     @given(st.sampled_from((_TIE_LEVELS, _INTEGER_LEVELS)).flatmap(_level_arrays))
     def test_batched_equals_scalar(self, values):
         expected = brute_skyline_ids(values)
-        batched = _run(SDI(batched=True), values)  # the ListContainer path
-        assert batched == _run(SDI(batched=False), values)
-        assert sorted(batched[0]) == expected
-        grouped, batched, scalar = _sdi_subset_paths(values)
-        assert grouped == batched == scalar
+        plain = _run(SDI(), values)  # the ListContainer path
+        assert sorted(plain[0]) == expected
+        grouped, pointwise = _sdi_subset_paths(values)
+        assert grouped == pointwise
         assert sorted(grouped[0]) == expected
 
 

@@ -106,4 +106,4 @@ def _everything(index, subspace, counter=None):
         node = stack.pop()
         out.extend(node.points)
         stack.extend(node.children.values())
-    return out
+    return np.array(out, dtype=np.intp)

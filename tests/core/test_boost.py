@@ -99,8 +99,7 @@ class TestEffectiveness:
         SubsetBoost(SFS()).compute(ui_small, counter=counter)
         merged = merge(ui_small, default_threshold(ui_small.dimensionality))
         # The grouped scan walks the index once per distinct subspace of
-        # its testing points, past the memo cache; each walk visits at
-        # least the root.
+        # its testing points; each walk visits at least the root.
         assert counter.index_queries == np.unique(merged.masks).size > 0
         assert counter.index_cache_hits == counter.index_cache_misses == 0
         assert counter.index_nodes_visited >= counter.index_queries
@@ -108,7 +107,7 @@ class TestEffectiveness:
     def test_unmemoized_queries_visit_nodes(self, ui_small):
         counter = DominanceCounter()
         with pointwise_boost():  # the per-point loop queries the index
-            SubsetBoost(SFS(), memoize=False).compute(ui_small, counter=counter)
+            SubsetBoost(SFS()).compute(ui_small, counter=counter)
         merged = merge(ui_small, default_threshold(ui_small.dimensionality))
         assert counter.index_queries == merged.remaining_ids.size > 0
         assert counter.index_cache_hits == counter.index_cache_misses == 0

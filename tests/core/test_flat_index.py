@@ -2,9 +2,9 @@
 
 Candidate ids plus ``values[ids]`` from one call is the flat layout's
 surviving feature; these tests hold ``SubsetContainer.candidates`` over
-the map index to the same put/query contract, and bridge the memoized
-index to the unmemoized tree walk over full per-point boosted scans
-(:func:`~tests.conftest.pointwise_boost`), and both to the grouped scan.
+the map index to the same put/query contract, and bridge the per-point
+boosted scans (:func:`~tests.conftest.pointwise_boost`) to the grouped
+scan.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from repro.algorithms.sdi import SDI
 from repro.algorithms.sfs import SFS
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
-from tests.conftest import pointwise_boost
+from tests.conftest import brute_skyline_ids, pointwise_boost
 
 
 def brute_query(stored: list[tuple[int, int]], subspace: int) -> list[int]:
@@ -68,7 +68,7 @@ class TestPutQuery:
     def test_empty_index_queries_clean(self):
         counter = DominanceCounter()
         idx, values = fused_index(3, counter=counter)
-        assert idx.query_ids(0b101) == []
+        assert idx.query_ids(0b101).tolist() == []
         ids, rows = idx.candidates(0b101)
         assert ids.tolist() == []
         assert rows.shape == (0, 3)
@@ -91,7 +91,7 @@ class TestPutQuery:
             idx.add(pid, mask)
         for q in (0b0110, 0b0010, 0b1111, 0b0001):
             assert fused_ids(idx, q, values) == brute_query(stored, q)
-            assert idx.query_ids(q) == brute_query(stored, q)
+            assert idx.query_ids(q).tolist() == brute_query(stored, q)
         assert len(idx.index.subspaces()) == 2
 
     def test_invalid_dimensionality_rejected(self):
@@ -118,10 +118,8 @@ class TestCompaction:
         idx.add(1, 0b011)
         idx.add(2, 0b011)
         assert fused_ids(idx, 0b001, values) == [1, 2]
-        epoch = idx.index.epoch
         idx.remove(1, 0b011)
         assert fused_ids(idx, 0b001, values) == [2]
-        assert idx.index.epoch == epoch + 1
         with pytest.raises(KeyError):
             idx.remove(1, 0b011)
         with pytest.raises(KeyError):
@@ -158,7 +156,7 @@ class TestFlatVsMapBridge:
     @given(put_query_sequences())
     @settings(max_examples=60, deadline=None)
     def test_interleaved_puts_and_queries_match(self, seq):
-        """Same put/query stream → same ids and same cache accounting."""
+        """Same put/query stream → same ids and same index accounting."""
         d, puts, queries = seq
         values = np.random.default_rng(0).random((max(len(puts), 1), d))
         fused_counter, tree_counter = DominanceCounter(), DominanceCounter()
@@ -168,43 +166,25 @@ class TestFlatVsMapBridge:
             tree.put(pid, mask)
         for mask in queries:
             ids, rows = fused.candidates(mask)
-            assert ids.tolist() == tree.query(mask, tree_counter)
+            assert ids.tolist() == tree.query(mask, tree_counter).tolist()
             assert np.array_equal(rows, values[ids])
-        fused_stats, tree_stats = fused.index.cache_stats(), tree.cache_stats()
-        assert fused_stats["hits"] == tree_stats["hits"]
-        assert fused_stats["misses"] == tree_stats["misses"]
-        assert fused_counter.index_cache_hits == tree_counter.index_cache_hits
-        assert fused_counter.index_cache_misses == tree_counter.index_cache_misses
+        assert fused_counter.index_queries == tree_counter.index_queries == len(queries)
         assert fused_counter.index_nodes_visited == tree_counter.index_nodes_visited
 
     @pytest.mark.parametrize("host_factory", [SFS, SaLSa, SDI])
     @pytest.mark.parametrize("kind", ["UI", "CO", "AC"])
     def test_boosted_scan_bit_identical(self, host_factory, kind):
-        """Memoized and tree-walk per-point scans, and the grouped scan,
-        charge identical tests."""
+        """The per-point scan and the grouped scan return the same ids
+        and charge identical tests."""
         dataset = generate(kind, n=600, d=5, seed=11)
-        results = {}
-        for memoize in (True, False):
-            counter = DominanceCounter()
-            with pointwise_boost():
-                skyline = run_boosted_scan(
-                    dataset, host_factory(), counter, memoize=memoize
-                )
-            results[memoize] = (skyline, counter)
-        memo_sky, memo_counter = results[True]
-        walk_sky, walk_counter = results[False]
-        assert memo_sky == walk_sky
-        assert memo_counter.tests == walk_counter.tests
-        assert memo_counter.index_queries == walk_counter.index_queries
-        assert (
-            memo_counter.index_cache_hits + memo_counter.index_cache_misses
-            == memo_counter.index_queries
-        )
-        assert walk_counter.index_cache_hits == walk_counter.index_cache_misses == 0
+        walk_counter = DominanceCounter()
+        with pointwise_boost():
+            walk_sky = run_boosted_scan(dataset, host_factory(), walk_counter)
+        assert sorted(walk_sky) == brute_skyline_ids(dataset.values)
         grouped_counter = DominanceCounter()
-        assert run_boosted_scan(dataset, host_factory(), grouped_counter) == memo_sky
-        assert grouped_counter.tests == memo_counter.tests
-        assert grouped_counter.index_queries <= memo_counter.index_queries
+        assert run_boosted_scan(dataset, host_factory(), grouped_counter) == walk_sky
+        assert grouped_counter.tests == walk_counter.tests
+        assert grouped_counter.index_queries <= walk_counter.index_queries
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -216,14 +196,11 @@ class TestFlatVsMapBridge:
         d = 6
         sigma = min(sigma_d, d)
         dataset = generate(kind, n=200, d=d, seed=seed % 1000)
-        per_mode = {}
-        for memoize in (True, False):
-            counter = DominanceCounter()
-            with pointwise_boost():
-                skyline = run_boosted_scan(
-                    dataset, SFS(), counter, sigma=sigma, memoize=memoize
-                )
-            per_mode[memoize] = (skyline, counter.tests)
+        counter = DominanceCounter()
+        with pointwise_boost():
+            pointwise = run_boosted_scan(dataset, SFS(), counter, sigma=sigma)
+        per_point = (pointwise, counter.tests)
         counter = DominanceCounter()
         grouped = run_boosted_scan(dataset, SFS(), counter, sigma=sigma)
-        assert per_mode[True] == per_mode[False] == (grouped, counter.tests)
+        assert per_point == (grouped, counter.tests)
+        assert sorted(grouped) == brute_skyline_ids(dataset.values)

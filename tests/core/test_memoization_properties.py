@@ -1,9 +1,9 @@
-"""Property tests: the memoized index is observationally identical to the
-unmemoized one under arbitrary interleavings of put / query / remove.
+"""Property tests: the subset index against a brute-force, insertion-ordered
+reference under arbitrary interleavings of put / query / remove.
 
-This is the correctness contract of the result cache (generation/epoch
-invalidation plus put-log repair): callers must not be able to tell the two
-modes apart except through ``index_nodes_visited`` and the cache counters.
+The index keeps no query results, so every query is one tree walk;
+``query`` must return exactly the stored supersets of the query subspace
+in insertion order, and ``walk`` the same ids in any order.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ FULL = (1 << D) - 1
 
 # Interleaved op sequences.  Puts carry a non-empty subspace (as in a real
 # boosted scan); removes carry an index into the currently stored points;
-# repeated query masks exercise cache hits and log repair.
+# repeated query masks query the same subspace after changes.
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("put"), st.integers(1, FULL)),
@@ -30,69 +30,70 @@ ops = st.lists(
 )
 
 
-def _run_interleaved(op_list, check):
-    """Drive a memoized and an unmemoized index through ``op_list``.
+def _reference(stored: list[tuple[int, int]], mask: int) -> list[int]:
+    """Ids stored under a superset of ``mask``, in insertion order."""
+    return [point_id for point_id, subspace in stored if mask & ~subspace == 0]
 
-    ``check(memo, plain, memo_counter, plain_counter, mask)`` is invoked at
-    every query op.
+
+def _run_interleaved(op_list, check):
+    """Drive an index and the reference list through ``op_list``.
+
+    ``check(index, stored, mask)`` is invoked at every query op, with
+    ``stored`` the ``(id, subspace)`` pairs in insertion order.
     """
-    memo = SkylineIndex(D, memoize=True)
-    plain = SkylineIndex(D, memoize=False)
-    memo_counter = DominanceCounter()
-    plain_counter = DominanceCounter()
+    index = SkylineIndex(D)
     stored: list[tuple[int, int]] = []
     next_id = 0
     for kind, arg in op_list:
         if kind == "put":
-            memo.put(next_id, arg)
-            plain.put(next_id, arg)
+            index.put(next_id, arg)
             stored.append((next_id, arg))
             next_id += 1
         elif kind == "query":
-            check(memo, plain, memo_counter, plain_counter, arg)
+            check(index, stored, arg)
         elif stored:  # remove
             point_id, subspace = stored.pop(arg % len(stored))
-            memo.remove(point_id, subspace)
-            plain.remove(point_id, subspace)
-    return memo, plain, memo_counter, plain_counter
+            index.remove(point_id, subspace)
+    return index, stored
 
 
 @settings(max_examples=120, deadline=None)
 @given(ops)
 def test_memoized_query_results_identical(op_list):
-    def check(memo, plain, memo_counter, plain_counter, mask):
-        assert memo.query(mask, memo_counter) == plain.query(
-            mask, plain_counter
-        )
+    counter = DominanceCounter()
+    queries = 0
 
-    memo, plain, memo_counter, plain_counter = _run_interleaved(op_list, check)
-    assert len(memo) == len(plain)
-    # Index traversal charges node visits, never dominance tests, and both
-    # modes see the same query stream.
-    assert memo_counter.tests == plain_counter.tests == 0
-    assert memo_counter.index_queries == plain_counter.index_queries
-    stats = memo.cache_stats()
-    assert stats["hits"] + stats["misses"] == memo_counter.index_queries
-    assert plain.cache_stats() == {
-        "hits": 0,
-        "misses": 0,
-        "invalidations": 0,
-        "entries": 0,
-    }
+    def check(index, stored, mask):
+        nonlocal queries
+        result = index.query(mask, counter)
+        queries += 1
+        assert result.dtype == np.intp
+        assert result.tolist() == _reference(stored, mask)
+
+    index, stored = _run_interleaved(op_list, check)
+    assert len(index) == len(stored)
+    # Index traversal charges node visits, never dominance tests: one
+    # query per call, each visiting at least the root.
+    assert counter.tests == 0
+    assert counter.index_queries == queries
+    assert counter.index_nodes_visited >= queries
+    assert counter.index_cache_hits == counter.index_cache_misses == 0
 
 
 @settings(max_examples=120, deadline=None)
 @given(ops)
 def test_candidates_match_query(op_list):
-    """The group walk returns the ids of both query modes, and a repeated
-    memoized query stays coherent with the first."""
+    """The group walk returns the query's ids as a set, with the same
+    accounting, and a repeated query returns the same ids."""
 
-    def check(memo, plain, memo_counter, plain_counter, mask):
-        walked = memo.walk(mask)
+    def check(index, stored, mask):
+        walk_counter, query_counter = DominanceCounter(), DominanceCounter()
+        walked = index.walk(mask, walk_counter)
         assert walked.dtype == np.intp
-        first = memo.query(mask)
-        assert sorted(walked.tolist()) == sorted(first)
-        assert first == plain.query(mask) == memo.query(mask)
+        first = index.query(mask, query_counter)
+        assert sorted(walked.tolist()) == sorted(_reference(stored, mask))
+        assert first.tolist() == index.query(mask).tolist()
+        assert walk_counter.index_nodes_visited == query_counter.index_nodes_visited
 
     _run_interleaved(op_list, check)
 
@@ -100,27 +101,10 @@ def test_candidates_match_query(op_list):
 @settings(max_examples=60, deadline=None)
 @given(ops)
 def test_results_ordered_by_insertion_sequence(op_list):
-    insertion_rank: dict[int, int] = {}
+    def check(index, stored, mask):
+        # Ids are issued in insertion order, so insertion order is
+        # ascending id order.
+        ranks = index.query(mask).tolist()
+        assert ranks == sorted(ranks)
 
-    def check(memo, plain, memo_counter, plain_counter, mask):
-        for result in (memo.query(mask), plain.query(mask)):
-            ranks = [insertion_rank[point_id] for point_id in result]
-            assert ranks == sorted(ranks)
-
-    memo = SkylineIndex(D, memoize=True)
-    plain = SkylineIndex(D, memoize=False)
-    stored: list[tuple[int, int]] = []
-    next_id = 0
-    for kind, arg in op_list:
-        if kind == "put":
-            memo.put(next_id, arg)
-            plain.put(next_id, arg)
-            stored.append((next_id, arg))
-            insertion_rank[next_id] = next_id
-            next_id += 1
-        elif kind == "query":
-            check(memo, plain, None, None, arg)
-        elif stored:
-            point_id, subspace = stored.pop(arg % len(stored))
-            memo.remove(point_id, subspace)
-            plain.remove(point_id, subspace)
+    _run_interleaved(op_list, check)

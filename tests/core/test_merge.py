@@ -101,15 +101,6 @@ class TestMergeBehaviour:
         assert 0 in result.pivot_ids
         assert 1 in result.duplicate_skyline_ids
 
-    def test_mask_of_lookup(self):
-        dataset = generate("UI", n=120, d=4, seed=2)
-        result = merge(dataset, sigma=2)
-        if result.remaining_ids.size:
-            q = int(result.remaining_ids[0])
-            assert result.mask_of(q) == int(result.masks[0])
-        with pytest.raises(KeyError):
-            result.mask_of(result.pivot_ids[0])
-
     def test_negative_data_pivot_is_still_skyline(self):
         rng = np.random.default_rng(4)
         values = rng.normal(0, 2, size=(200, 4))

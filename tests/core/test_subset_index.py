@@ -53,20 +53,20 @@ class TestPutQuery:
     def test_root_storage_for_full_subspace(self):
         idx = SkylineIndex(3)
         idx.put(7, 0b111)  # reversed = empty -> root
-        assert idx.query(0b001) == [7]
-        assert idx.query(0b111) == [7]
+        assert idx.query(0b001).tolist() == [7]
+        assert idx.query(0b111).tolist() == [7]
 
     def test_query_excludes_non_supersets(self):
         idx = SkylineIndex(4)
         idx.put(1, 0b0011)
-        assert idx.query(0b0100) == []
+        assert idx.query(0b0100).tolist() == []
 
     def test_results_in_insertion_order(self):
         idx = SkylineIndex(4)
         for pid, mask in [(9, 0b1111), (2, 0b0011), (7, 0b1011), (1, 0b0011)]:
             idx.put(pid, mask)
-        assert idx.query(0b0011) == [9, 2, 7, 1]
-        assert idx.query(0b1011) == [9, 7]
+        assert idx.query(0b0011).tolist() == [9, 2, 7, 1]
+        assert idx.query(0b1011).tolist() == [9, 7]
 
     def test_multiple_points_same_subspace(self):
         idx = SkylineIndex(4)
@@ -114,7 +114,7 @@ class TestPutQuery:
         idx.put(0, 0b001)
         idx.clear()
         assert len(idx) == 0
-        assert idx.query(0b001) == []
+        assert idx.query(0b001).tolist() == []
 
     def test_node_count_counts_paths(self):
         idx = SkylineIndex(4)
@@ -128,9 +128,9 @@ class TestPutQuery:
 class TestEdgeCases:
     def test_query_on_empty_index(self):
         idx = SkylineIndex(4)
-        assert idx.query(0b0000) == []
-        assert idx.query(0b1010) == []
-        assert idx.query(0b1111) == []
+        assert idx.query(0b0000).tolist() == []
+        assert idx.query(0b1010).tolist() == []
+        assert idx.query(0b1111).tolist() == []
 
     def test_empty_subspace_mask(self):
         """Mask 0 (no dominating dimensions) sits at the deepest path and
@@ -139,8 +139,8 @@ class TestEdgeCases:
         idx.put(0, 0b000)
         idx.put(1, 0b101)
         assert sorted(idx.query(0b000)) == [0, 1]
-        assert idx.query(0b101) == [1]
-        assert idx.query(0b111) == []
+        assert idx.query(0b101).tolist() == [1]
+        assert idx.query(0b111).tolist() == []
 
     def test_full_dimension_mask_matches_every_query(self):
         """Mask 2^d - 1 reverses to ∅, lives at the root, supersets all."""
@@ -149,7 +149,7 @@ class TestEdgeCases:
         idx = SkylineIndex(d)
         idx.put(0, full)
         for query in range(1 << d):
-            assert idx.query(query) == [0]
+            assert idx.query(query).tolist() == [0]
 
     def test_duplicate_put_same_reversed_subspace_reuses_path(self):
         """A second put on an existing reversed-subspace chain adds no
@@ -205,7 +205,7 @@ class TestRemove:
         idx.put(5, 0b0011)
         idx.remove(5, 0b0011)
         assert len(idx) == 0
-        assert idx.query(0b0011) == []
+        assert idx.query(0b0011).tolist() == []
 
     def test_remove_missing_point(self):
         idx = SkylineIndex(4)
@@ -223,7 +223,7 @@ class TestRemove:
         idx.put(1, 0b0011)
         idx.put(2, 0b0011)
         idx.remove(1, 0b0011)
-        assert idx.query(0b0011) == [2]
+        assert idx.query(0b0011).tolist() == [2]
 
 
 class TestFusedCandidates:
@@ -237,7 +237,7 @@ class TestFusedCandidates:
         ids, rows = container.candidates(0b011)
         assert ids.tolist() == [2, 0]
         assert np.array_equal(rows, values[[2, 0]])
-        # A repeated probe serves the same entry, repaired from the log.
+        # A repeated probe after an add sees the grown ids, in insertion order.
         container.add(3, 0b111)
         ids, rows = container.candidates(0b011)
         assert ids.tolist() == [2, 0, 3]
@@ -248,7 +248,7 @@ class TestFusedCandidates:
         container.add(0, 0b011)
         with pytest.raises(InvalidParameterError):
             container.candidates(0b001)
-        assert container.query_ids(0b001) == [0]
+        assert container.query_ids(0b001).tolist() == [0]
 
     def test_earlier_views_unchanged_by_later_puts(self):
         values = np.arange(200.0).reshape(50, 4)
@@ -266,15 +266,15 @@ class TestFusedCandidates:
     def test_unmemoized_candidates_charge_a_traversal_each(self):
         values = np.arange(12.0).reshape(4, 3)
         counter = DominanceCounter()
-        container = SubsetContainer(values, 3, counter, memoize=False)
+        container = SubsetContainer(values, 3, counter)
         container.add(1, 0b011)
         for _ in range(3):
             ids, rows = container.candidates(0b001)
             assert ids.tolist() == [1]
             assert np.array_equal(rows, values[[1]])
         assert counter.index_queries == 3
+        assert counter.index_nodes_visited >= 3
         assert counter.index_cache_hits == counter.index_cache_misses == 0
-        assert container.index.cache_stats()["entries"] == 0
 
 
 class TestGroupWalk:
@@ -294,7 +294,6 @@ class TestGroupWalk:
             assert counter.index_queries == 1
             assert counter.index_nodes_visited == reference.index_nodes_visited
             assert counter.index_cache_hits == counter.index_cache_misses == 0
-        assert idx.cache_stats()["entries"] == 0
 
     def test_put_many_matches_single_puts(self):
         single, grouped = SkylineIndex(3), SkylineIndex(3)
@@ -304,15 +303,14 @@ class TestGroupWalk:
         single.put(2, 0b111)
         grouped.put(2, 0b111)
         for subspace in range(1 << 3):
-            assert grouped.query(subspace) == single.query(subspace)
+            assert grouped.query(subspace).tolist() == single.query(subspace).tolist()
         assert grouped.subspaces() == single.subspaces()
         assert grouped.node_count() == single.node_count()
         assert len(grouped) == len(single) == 4
-        assert grouped.generation == single.generation
 
 
 def _unmemoized_copy(stored: dict[int, int]) -> SkylineIndex:
-    idx = SkylineIndex(4, memoize=False)
+    idx = SkylineIndex(4)
     for pid, mask in stored.items():
         idx.put(pid, mask)
     return idx
@@ -322,6 +320,10 @@ _FUSED_D = 4
 _fused_ops = st.lists(
     st.one_of(
         st.tuples(st.just("put"), st.integers(0, (1 << _FUSED_D) - 1)),
+        st.tuples(
+            st.just("add_many"),
+            st.tuples(st.integers(0, (1 << _FUSED_D) - 1), st.integers(1, 4)),
+        ),
         st.tuples(st.just("candidates"), st.integers(0, (1 << _FUSED_D) - 1)),
         st.tuples(st.just("remove"), st.integers(0, 10**6)),
         st.tuples(st.just("clear"), st.just(0)),
@@ -334,38 +336,47 @@ _fused_ops = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(_fused_ops)
 def test_fused_candidates_match_brute_force(ops):
-    """Interleaved put/remove/clear/candidates on memoized and unmemoized
-    containers: ids are exactly the stored supersets in insertion order,
-    rows are ``values[ids]``, both modes agree on ids, rows and queries,
-    and a group walk returns the same ids."""
-    values = np.random.default_rng(0).random((len(ops), _FUSED_D))
-    memo_counter, plain_counter = DominanceCounter(), DominanceCounter()
-    memo = SubsetContainer(values, _FUSED_D, memo_counter)
-    plain = SubsetContainer(values, _FUSED_D, plain_counter, memoize=False)
+    """Interleaved put/add_many/remove/clear/candidates: ``candidates`` and
+    ``query_ids`` return exactly the stored supersets in insertion order
+    (as ``intp`` arrays), rows are ``values[ids]``, a group walk returns
+    the same ids as a set, and each read is one charged index query."""
+    values = np.random.default_rng(0).random((4 * len(ops), _FUSED_D))
+    counter = DominanceCounter()
+    container = SubsetContainer(values, _FUSED_D, counter)
     stored: list[tuple[int, int]] = []  # insertion order
-    for pid, (kind, arg) in enumerate(ops):
+    next_id = 0
+    reads = 0
+    for kind, arg in ops:
         if kind == "put":
-            for idx in (memo, plain):
-                idx.add(pid, arg)
-            stored.append((pid, arg))
+            container.add(next_id, arg)
+            stored.append((next_id, arg))
+            next_id += 1
+        elif kind == "add_many":
+            mask, count = arg
+            group = list(range(next_id, next_id + count))
+            container.add_many(group, mask)
+            stored += [(point_id, mask) for point_id in group]
+            next_id += count
         elif kind == "remove" and stored:
             point_id, mask = stored.pop(arg % len(stored))
-            for idx in (memo, plain):
-                idx.remove(point_id, mask)
+            container.remove(point_id, mask)
         elif kind == "clear":
-            for idx in (memo, plain):
-                idx.clear()
+            container.clear()
             stored.clear()
         elif kind == "candidates":
             expected = [point_id for point_id, mask in stored if arg & ~mask == 0]
-            memo_ids, memo_rows = memo.candidates(arg)
-            plain_ids, plain_rows = plain.candidates(arg)
-            assert memo_ids.tolist() == plain_ids.tolist() == expected
-            assert np.array_equal(memo_rows, values[expected])
-            assert np.array_equal(plain_rows, values[expected])
-            assert sorted(memo.index.walk(arg).tolist()) == sorted(expected)
-    assert memo_counter.index_queries == plain_counter.index_queries
-    assert memo_counter.tests == plain_counter.tests == 0
+            ids, rows = container.candidates(arg)
+            assert ids.dtype == np.intp
+            assert ids.tolist() == expected
+            assert np.array_equal(rows, values[expected])
+            queried = container.query_ids(arg)
+            assert isinstance(queried, np.ndarray) and queried.dtype == np.intp
+            assert queried.tolist() == expected
+            assert sorted(container.walk(arg).tolist()) == sorted(expected)
+            reads += 3
+    assert container.ids() == [point_id for point_id, _ in stored]
+    assert counter.index_queries == reads
+    assert counter.tests == 0
 
 
 class TestExhaustiveSmallSpace:

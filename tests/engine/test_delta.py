@@ -207,7 +207,7 @@ class TestColumnExtrema:
 
 
 class TestMaximizeViewRepair:
-    """A view maximizing a column repairs while that column's maximum holds."""
+    """A view maximizing a column negates it, so it repairs with every delta."""
 
     @staticmethod
     def _with_views(values):
@@ -252,12 +252,25 @@ class TestMaximizeViewRepair:
         ids=["insert-above", "delete-holder"],
     )
     def test_moving_a_flipped_maximum_drops_the_view(self, inserts, deletes):
+        """A delta that moves the flipped column's maximum no longer drops
+        the view: negation does not depend on the maximum, so the view is
+        repaired like any other."""
         values = np.random.default_rng(25).random((100, 3))
         values[0, 2] = 2.0
-        prepared = self._with_views(values)
+        engine = SkylineEngine()
+        prepared = engine.prepare(values)
+        view = prepared.view([0, 2], maximize=[2])
+        prepared.view([0, 1])
+        engine.execute(view)  # the view's repair base
         report = prepared.apply_delta(inserts, deletes)
-        assert (report.views_repaired, report.views_dropped) == (1, 1)
-        assert prepared.cache_info()["views"] == 1
+        assert (report.views_repaired, report.views_dropped) == (2, 0)
+        assert prepared.cache_info()["views"] == 2
+        assert prepared.view([0, 2], maximize=[2]) is view
+        cold = PreparedDataset(prepared.values).view([0, 2], maximize=[2])
+        assert np.array_equal(view.values, cold.values)
+        result = engine.execute(view, incremental=True)
+        assert result.plan.incremental
+        assert sorted(result.indices.tolist()) == brute_skyline_ids(cold.values)
 
 
 class TestRepairSkyline:

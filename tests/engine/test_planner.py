@@ -186,5 +186,5 @@ class TestPlanRendering:
 
     def test_sort_cache_key_ignores_container_and_memoize(self, ui_medium):
         subset = plan_for(ui_medium, "sfs-subset", container="subset")
-        listy = plan_for(ui_medium, "sfs-subset", container="list", memoize=False)
+        listy = plan_for(ui_medium, "sfs-subset", container="list")
         assert subset.sort_cache_key == listy.sort_cache_key

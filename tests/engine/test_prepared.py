@@ -87,7 +87,7 @@ class TestView:
         prepared = PreparedDataset(values)
         view = prepared.view([0, 2], maximize=[2])
         assert view.dimensionality == 2
-        expected = np.column_stack([values[:, 0], values[:, 2].max() - values[:, 2]])
+        expected = np.column_stack([values[:, 0], -values[:, 2]])
         assert np.array_equal(view.values, expected)
 
     def test_cached_per_dims_and_directions(self, prepared):

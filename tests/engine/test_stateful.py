@@ -18,16 +18,20 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 from repro.engine import SkylineEngine
 from repro.query import SkylineQuery
 from tests.conftest import brute_skyline_ids
+from tests.test_dominance import _TIE_LEVELS
 
 D = 4
-#: Coordinates come from a handful of levels, so ties are everywhere.
+#: Coordinates come from a handful of levels, so ties are everywhere: the
+#: integer levels, and ``_TIE_LEVELS``, whose ``1e-17`` step vanishes next
+#: to every other level in a sum or a subtraction.
 LEVELS = 4
 #: Cardinality bounds keep every delta's fraction on a known side of the
 #: 5% repair threshold: one or two rows stay under it, eight exceed it.
 MIN_ROWS, MAX_ROWS = 48, 64
 PINNED = ("sfs", "sfs-subset", "salsa-subset", "sdi-subset")
 
-_row = st.lists(st.integers(0, LEVELS - 1), min_size=D, max_size=D)
+_level = st.one_of(st.integers(0, LEVELS - 1).map(float), _TIE_LEVELS)
+_row = st.lists(_level, min_size=D, max_size=D)
 
 #: (query, preference columns, maximized columns) — two- and three-column
 #: views, one of them maximizing a column.

@@ -154,17 +154,17 @@ class TestPhaseTable:
         counter = DominanceCounter()
         with tracer.span("execute", counter=counter):
             with tracer.span("scan", counter=counter):
-                counter.index_cache_hits += 3
-                counter.index_cache_misses += 1
+                counter.prepared_cache_hits += 1
+                counter.prepared_cache_misses += 3
             with tracer.span("prepare", counter=counter):
                 counter.prepared_cache_hits += 1
         table = phase_table(tracer.drain())
-        assert "idx%" in table.splitlines()[0]
+        assert "idx%" not in table.splitlines()[0]
         assert "prep%" in table.splitlines()[0]
         scan_line = next(
             line for line in table.splitlines() if line.lstrip().startswith("scan")
         )
-        assert "75%" in scan_line
+        assert "25%" in scan_line
         prepare_line = next(
             line
             for line in table.splitlines()

@@ -7,8 +7,8 @@ from repro.obs.histogram import LogHistogram
 class TestPrometheusName:
     def test_dots_become_underscores_with_prefix(self):
         assert (
-            prometheus_name("counter.index_cache_hit_rate")
-            == "repro_counter_index_cache_hit_rate"
+            prometheus_name("counter.prepared_cache_hit_rate")
+            == "repro_counter_prepared_cache_hit_rate"
         )
 
     def test_invalid_characters_sanitised(self):

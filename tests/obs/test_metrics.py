@@ -48,22 +48,15 @@ class TestRecordCounter:
 
     def test_hit_rates_derived_when_lookups_exist(self):
         registry = MetricsRegistry()
-        counter = DominanceCounter(
-            index_cache_hits=3,
-            index_cache_misses=1,
-            prepared_cache_hits=1,
-            prepared_cache_misses=3,
-        )
+        counter = DominanceCounter(prepared_cache_hits=1, prepared_cache_misses=3)
         registry.record_counter(counter)
         values = registry.as_dict()
-        assert values["counter.index_cache_hit_rate"] == 0.75
         assert values["counter.prepared_cache_hit_rate"] == 0.25
 
     def test_hit_rates_absent_without_lookups(self):
         registry = MetricsRegistry()
         registry.record_counter(DominanceCounter(tests=5))
         values = registry.as_dict()
-        assert "counter.index_cache_hit_rate" not in values
         assert "counter.prepared_cache_hit_rate" not in values
 
 

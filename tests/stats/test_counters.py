@@ -52,9 +52,6 @@ class TestAsDict:
             "tests",
             "index_queries",
             "index_nodes_visited",
-            "index_cache_hits",
-            "index_cache_misses",
-            "index_cache_invalidations",
             "prepared_cache_hits",
             "prepared_cache_misses",
         ]
@@ -76,13 +73,13 @@ class TestAsDict:
         counter = DominanceCounter()
         before = counter.as_dict()
         counter.add(9)
-        counter.add_cache_hit()
+        counter.add_prepared_hit()
         delta = {
             key: value - before[key]
             for key, value in counter.as_dict().items()
             if value != before[key]
         }
-        assert delta == {"tests": 9.0, "index_cache_hits": 1.0}
+        assert delta == {"tests": 9.0, "prepared_cache_hits": 1.0}
 
 
 class TestSnapshot:

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.algorithms.registry import get_algorithm
 from repro.dataset import Dataset
 from repro.errors import InvalidDatasetError, InvalidParameterError
 from repro.query import SkylineQuery
 from tests.conftest import brute_skyline_ids
+from tests.test_dominance import _TIE_LEVELS
 
 
 @pytest.fixture
@@ -132,3 +137,53 @@ class TestSkylineQuery:
             SkylineQuery().minimize("price").where("price", max_value=150).execute(hotels)
         )
         assert result.cardinality == hotels.cardinality
+
+
+@st.composite
+def _tie_tables(draw):
+    """2-8 rows of 2-3 tie-level columns and a non-empty set to maximize."""
+    d = draw(st.integers(2, 3))
+    values = draw(
+        hnp.arrays(np.float64, st.tuples(st.integers(2, 8), st.just(d)), elements=_TIE_LEVELS)
+    )
+    maximized = draw(st.sets(st.integers(0, d - 1), min_size=1))
+    return values, sorted(maximized)
+
+
+def _maximize_sites(values, maximized):
+    """Sorted skyline ids from each site that flips a maximized column."""
+    d = values.shape[1]
+    minimized = [dim for dim in range(d) if dim not in maximized]
+
+    def query():
+        return SkylineQuery().minimize(*minimized).maximize(*maximized)
+
+    unfiltered = query().execute(values).indices
+    # A row the filter drops sends the query down its range path.
+    padded = np.vstack([values, np.full((1, d), 10.0)])
+    ranged = query().where(0, max_value=5).execute(padded).indices
+    flipped = Dataset(values).minimizing(maximized)
+    brute = get_algorithm("bruteforce").compute(flipped).indices
+    return {
+        "unfiltered": sorted(unfiltered.tolist()),
+        "range": sorted(ranged.tolist()),
+        "minimizing": sorted(brute.tolist()),
+    }
+
+
+class TestExactMaximize:
+    """Every site that flips a maximized column negates it exactly, so a
+    sub-ulp difference between two values survives the flip."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tie_tables())
+    # Brute force on the negated columns says [0, 2]; ``max - value``
+    # rounded 2 - 1e-17 to 2 and returned [0, 1, 2].
+    @example(table=(np.array([[0.0, 1e-17], [0.0, 0.0], [1.0, 2.0]]), [1]))
+    def test_maximize_sites_match_brute_force(self, table):
+        values, maximized = table
+        negated = values.copy()
+        negated[:, maximized] = -negated[:, maximized]
+        expected = brute_skyline_ids(negated)
+        for site, ids in _maximize_sites(values, maximized).items():
+            assert ids == expected, site
