@@ -8,7 +8,7 @@ from repro.algorithms.base import SkylineResult
 from repro.dataset import Dataset
 from repro.engine import SkylineEngine
 from repro.obs.clock import timed
-from repro.obs.trace import TracerLike, current_tracer
+from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
 from repro.stats.metrics import MetricRow
 
@@ -38,7 +38,6 @@ def run_one(
     sigma: int | None = None,
     repeats: int = 1,
     engine: SkylineEngine | None = None,
-    tracer: TracerLike | None = None,
     **kwargs: object,
 ) -> MetricRow:
     """Run one algorithm on one dataset; elapsed time is the mean of repeats.
@@ -53,13 +52,13 @@ def run_one(
     ``engine`` to measure the warm, prepared-cache path instead.  Every
     repeat is timed by the same :func:`~repro.obs.clock.timed` helper as
     :func:`~repro.algorithms.base.run_timed`, and each lands as one
-    ``repeat`` span on ``tracer`` (the ambient tracer when omitted).
+    ``repeat`` span on the ambient tracer.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     host_options = kwargs or None
     counter = DominanceCounter()
-    tracer = tracer if tracer is not None else current_tracer()
+    tracer = current_tracer()
 
     def one_repeat(
         repeat: int, repeat_counter: DominanceCounter | None

@@ -83,13 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--events",
         metavar="FILE",
-        help="write the structured event log (JSONL) of the run",
-    )
-    run.add_argument(
-        "--slow-ms",
-        type=float,
-        default=100.0,
-        help="slow-query threshold in ms for the event log (default 100)",
+        help="write the run's trace as JSONL, one span per line",
     )
     run.add_argument(
         "--prom",
@@ -167,18 +161,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     engine = None
     if observing:
         # Observability asked for: run through an engine whose context
-        # carries a live tracer and event log (the Null defaults record
-        # nothing).
+        # carries a live tracer (the null default records nothing).
         from repro.engine import SkylineEngine
         from repro.engine.context import ExecutionContext
-        from repro.obs import EventLog, Tracer
+        from repro.obs import Tracer
 
-        engine = SkylineEngine(
-            ExecutionContext(
-                tracer=Tracer(),
-                event_log=EventLog(slow_query_s=args.slow_ms / 1000.0),
-            )
-        )
+        engine = SkylineEngine(ExecutionContext(tracer=Tracer()))
     result = skyline(dataset, algorithm=algorithm, sigma=args.sigma, engine=engine)
     print(f"dataset    : {dataset.describe()}")
     print(f"algorithm  : {result.algorithm}")
@@ -198,6 +186,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             MetricsRegistry,
             phase_table,
             write_chrome_trace,
+            write_jsonl,
             write_metrics,
         )
 
@@ -233,9 +222,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     args.prom, registry.as_dict(), histograms
                 )
                 print(f"prometheus : wrote {path}")
-    if args.events and engine is not None:
-        path = engine.context.events.write_jsonl(args.events)
-        print(f"events     : wrote {path}")
+        if args.events:
+            path = write_jsonl(result.trace, args.events)
+            print(f"events     : wrote {path}")
     return 0
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from repro.dataset import Dataset, as_dataset
 from repro.engine.prepared import PreparedDataset
 from repro.errors import InvalidParameterError
-from repro.obs.events import NULL_EVENT_LOG, EventLogLike
 from repro.obs.histogram import LogHistogram
 from repro.obs.trace import NULL_TRACER, TracerLike
 from repro.stats.counters import DominanceCounter
@@ -52,13 +51,6 @@ class ExecutionContext:
         bit-identical and allocation-free.  The engine activates this
         tracer around every ``execute`` and drains it into
         ``SkylineResult.trace``.
-    events:
-        The session's :class:`~repro.obs.events.EventLog`; defaults to the
-        no-op :data:`~repro.obs.events.NULL_EVENT_LOG`.  The engine
-        activates it around every ``execute``/``apply_delta`` and emits
-        query/plan/delta lifecycle events into it; deep layers (prepared
-        caches, the worker pool) emit through the ambient
-        :func:`~repro.obs.events.current_event_log`.
 
     Attributes
     ----------
@@ -77,7 +69,6 @@ class ExecutionContext:
         max_prepared: int = _MAX_PREPARED,
         workers: int | None = None,
         tracer: TracerLike = NULL_TRACER,
-        event_log: EventLogLike = NULL_EVENT_LOG,
     ) -> None:
         if max_prepared < 1:
             raise InvalidParameterError(
@@ -85,7 +76,6 @@ class ExecutionContext:
             )
         self.counter = DominanceCounter()
         self.tracer = tracer
-        self.events = event_log
         self.histograms: dict[str, LogHistogram] = {}
         self.runs_recorded = 0
         self.deltas_recorded = 0

@@ -13,9 +13,9 @@ mutation a *repairable* event instead of a cache-destroying one:
   ``t`` the sorted tombstones, stable id ``s`` is positional
   ``s - |{t < s}|``, one binary search per id.  :func:`remap_ids` is the
   only stable → positional conversion;
-- :func:`repair_extrema` — carry the exact per-column minima and maxima
-  across a delta in O(batch·d), re-reducing a column only when a deleted
-  row held its extreme;
+- :func:`repair_minima` — carry the exact per-column minima across a
+  delta in O(batch·d), re-reducing a column only when a deleted row held
+  its minimum;
 - :func:`repair_merge_result` — suffix-repair a cached
   :class:`~repro.core.merge.MergeResult` held in stable ids: the pivot set
   is kept fixed, so Lemma 4.3/5.1 mask semantics survive, and each insert
@@ -59,8 +59,8 @@ __all__ = [
     "live_merge_result",
     "normalize_delta",
     "remap_ids",
-    "repair_extrema",
     "repair_merge_result",
+    "repair_minima",
     "stable_ids",
 ]
 
@@ -202,32 +202,26 @@ def stable_ids(positions: np.ndarray, tombstones: np.ndarray) -> np.ndarray:
     return positions + np.searchsorted(ranks, positions, side="right")
 
 
-def repair_extrema(
-    extrema: tuple[np.ndarray, np.ndarray],
+def repair_minima(
+    minima: np.ndarray,
     removed: np.ndarray,
     inserts: np.ndarray,
     live_column: "Callable[[int], np.ndarray]",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact column ``(minima, maxima)`` of the rows after a delta.
+) -> np.ndarray:
+    """Exact column minima of the rows after a delta.
 
-    ``extrema`` are the pre-delta minima and maxima, ``removed`` the
-    deleted rows and ``live_column(c)`` column ``c`` of the post-delta rows
-    (survivors and ``inserts``).  Inserts fold in with one reduction each;
-    a column is re-reduced over ``live_column`` only when a deleted row
-    held its extreme, so a delta costs O(batch·d) unless it deletes an
-    extreme.  The input arrays are never modified.
+    ``minima`` are the pre-delta minima, ``removed`` the deleted rows and
+    ``live_column(c)`` column ``c`` of the post-delta rows (survivors and
+    ``inserts``).  Inserts fold in with one reduction; a column is
+    re-reduced over ``live_column`` only when a deleted row held its
+    minimum, so a delta costs O(batch·d) unless it deletes a minimum.  The
+    input arrays are never modified.
     """
-    repaired = []
-    for old, reduce, fold in (
-        (extrema[0], np.min, np.minimum),
-        (extrema[1], np.max, np.maximum),
-    ):
-        new = fold(old, reduce(inserts, axis=0)) if inserts.shape[0] else old.copy()
-        if removed.shape[0]:
-            for column in np.flatnonzero((removed == old).any(axis=0)).tolist():
-                new[column] = reduce(live_column(column))
-        repaired.append(new)
-    return repaired[0], repaired[1]
+    new = np.minimum(minima, inserts.min(axis=0)) if inserts.shape[0] else minima.copy()
+    if removed.shape[0]:
+        for column in np.flatnonzero((removed == minima).any(axis=0)).tolist():
+            new[column] = live_column(column).min()
+    return new
 
 
 def repair_merge_result(

@@ -115,19 +115,10 @@ class SkylineEngine:
         notes its skyline on the prepared dataset as the next repair base.
         """
         tracer = self.context.tracer
-        events = self.context.events
         run_counter = self.context.run_counter(counter)
-        with tracer.activate(), events.activate():
+        with tracer.activate():
             with tracer.span("prepare", counter=run_counter):
                 prepared = self.prepare(data)
-            if events.enabled:
-                events.emit(
-                    "query.start",
-                    dataset=prepared.name,
-                    n=prepared.cardinality,
-                    d=prepared.dimensionality,
-                    algorithm=algorithm if algorithm is not None else "auto",
-                )
             if plan is None:
                 with tracer.span("plan", counter=run_counter) as plan_span:
                     plan = self.planner.plan(
@@ -145,28 +136,26 @@ class SkylineEngine:
                     plan_span.set(label=plan.label)
 
             executed: Plan = plan
-            if events.enabled:
-                events.emit(
-                    "plan.chosen",
-                    label=executed.label,
-                    adaptive=executed.adaptive,
-                    incremental=executed.incremental,
-                    workers=executed.workers,
-                    parallel_strategy=executed.parallel_strategy,
-                )
 
             def body() -> list[int]:
                 with tracer.span(
                     "execute",
                     counter=run_counter,
+                    dataset=prepared.name,
+                    requested=algorithm if algorithm is not None else "auto",
                     algorithm=executed.label,
                     sigma=executed.sigma,
                     boosted=executed.boosted,
+                    adaptive=executed.adaptive,
+                    incremental=executed.incremental,
                     workers=executed.workers,
+                    parallel_strategy=executed.parallel_strategy,
                     n=prepared.cardinality,
                     d=prepared.dimensionality,
-                ):
-                    return self._run_plan(prepared, executed, run_counter)
+                ) as execute_span:
+                    ids = self._run_plan(prepared, executed, run_counter)
+                    execute_span.set(skyline_size=len(ids))
+                    return ids
 
             # An incremental plan never reads the positional rows, so the
             # result is packaged from the prepared dataset's shape alone.
@@ -178,14 +167,6 @@ class SkylineEngine:
             # incremental run this matches the rebased stream state, so the
             # note is a no-op that keeps the replay stream warm.
             prepared.note_skyline(result.indices)
-            if events.enabled:
-                events.emit(
-                    "query.finish",
-                    label=executed.label,
-                    wall_s=result.elapsed_seconds,
-                    dominance_tests=int(result.dominance_tests),
-                    skyline_size=result.size,
-                )
         result = replace(result, plan=executed, trace=tracer.drain())
         self.context.record(run_counter)
         # Session tail-latency accounting: every execution feeds the
@@ -210,19 +191,21 @@ class SkylineEngine:
         context's prepared registry to the mutated value array, so the next
         ``execute(prepared.dataset)`` — or ``execute`` with the prepared
         object itself — finds the repaired caches instead of preparing the
-        stale pre-delta array from scratch.
+        stale pre-delta array from scratch.  A live tracer records the call
+        as one ``delta.apply`` root span, which the next :meth:`execute`
+        drains into its ``result.trace`` ahead of ``prepare``.
         """
-        events = self.context.events
+        tracer = self.context.tracer
         run_counter = self.context.run_counter(counter)
-        with self.context.tracer.activate(), events.activate():
+        with tracer.activate():
             prepared = self.prepare(data)
-            report = prepared.apply_delta(
-                inserts, deletes, counter=run_counter, mode=mode
-            )
-            if events.enabled:
-                events.emit(
-                    "delta.apply",
-                    dataset=prepared.name,
+            with tracer.span(
+                "delta.apply", counter=run_counter, dataset=prepared.name
+            ) as delta_span:
+                report = prepared.apply_delta(
+                    inserts, deletes, counter=run_counter, mode=mode
+                )
+                delta_span.set(
                     mode=report.mode,
                     inserted=report.inserted,
                     deleted=report.deleted,
@@ -241,16 +224,10 @@ class SkylineEngine:
         counter: DominanceCounter,
     ) -> list[int]:
         if plan.incremental:
-            events = self.context.events
-            if events.enabled:
-                events.emit(
-                    "delta.repair",
-                    dataset=prepared.name,
-                    pending=plan.pending_mutations,
-                )
             with self.context.tracer.span(
                 "engine.repair",
                 counter=counter,
+                dataset=prepared.name,
                 pending=plan.pending_mutations,
             ):
                 return prepared.repair_skyline(counter)

@@ -24,9 +24,9 @@ results keep their pivots and classify the inserts (see
 flips a maximized column by exact negation, so the inserts project as a
 cold view would project them), and key-decomposable sort orders are
 tagged for a lazy bit-identical repair at the next scan (when the column
-minima stay put).  The exact per-column minima and maxima are carried
-across each delta in O(batch·d) (:meth:`PreparedDataset.extrema`), so a
-small delta never reduces the whole array.  Every delta bumps
+minima stay put).  The exact per-column minima are carried across each
+delta in O(batch·d) (:meth:`PreparedDataset.minima`), so a small delta
+never reduces the whole array.  Every delta bumps
 :attr:`version` exactly once.
 The skyline itself repairs lazily: after a full query the engine *notes*
 the result (:meth:`note_skyline`); when the planner later chooses an
@@ -69,12 +69,11 @@ from repro.engine.delta import (
     live_merge_result,
     normalize_delta,
     remap_ids,
-    repair_extrema,
     repair_merge_result,
+    repair_minima,
     stable_ids,
 )
 from repro.errors import InvalidParameterError
-from repro.obs.events import current_event_log
 from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
 from repro.stats.estimate import (
@@ -165,12 +164,9 @@ def _project(
     return projected
 
 
-def _read_only(
-    minima: np.ndarray, maxima: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    minima.setflags(write=False)
-    maxima.setflags(write=False)
-    return minima, maxima
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class _FifoCache(dict[object, object]):
@@ -219,7 +215,7 @@ class PreparedDataset:
         self.repair_threshold = repair_threshold
         self._column_major: np.ndarray | None = None
         self._statistics: DatasetStatistics | None = None
-        self._extrema: tuple[np.ndarray, np.ndarray] | None = None
+        self._minima: np.ndarray | None = None
         # Stable cached Merge results (see `merged`).
         self._merge_cache = _FifoCache()
         self._sort_caches = _FifoCache()
@@ -315,18 +311,17 @@ class PreparedDataset:
             self._column_major = column_major
         return self._column_major
 
-    def extrema(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact per-column ``(minima, maxima)`` of the current values.
+    def minima(self) -> np.ndarray:
+        """Exact per-column minima of the current values.
 
         Reduced over the rows on first use, then carried across every
         repaired delta in O(batch·d)
-        (:func:`~repro.engine.delta.repair_extrema`); dropped by
-        :meth:`invalidate`.  The arrays are read-only.
+        (:func:`~repro.engine.delta.repair_minima`); dropped by
+        :meth:`invalidate`.  The array is read-only.
         """
-        if self._extrema is None:
-            values = self.dataset.values
-            self._extrema = _read_only(values.min(axis=0), values.max(axis=0))
-        return self._extrema
+        if self._minima is None:
+            self._minima = _read_only(self.dataset.values.min(axis=0))
+        return self._minima
 
     def expected_skyline(self) -> float:
         """Expected skyline size under uniform independence, capped at ``n``.
@@ -490,7 +485,7 @@ class PreparedDataset:
         ``mode=None`` repairs when the delta fraction is at most
         :attr:`repair_threshold` and recomputes otherwise; ``"repair"`` and
         ``"recompute"`` force the path.  The repair path carries the column
-        extrema across the delta, suffix-repairs cached Merge results and
+        minima across the delta, suffix-repairs cached Merge results and
         every view, tags key-decomposable sort orders for lazy repair,
         drops everything else, logs the delta for :meth:`repair_skyline`
         and bumps :attr:`version` exactly once (the recompute path bumps through
@@ -557,7 +552,7 @@ class PreparedDataset:
             deleted=deleted,
             n=n - deleted + inserted,
         ):
-            old_min, old_max = self.extrema()
+            old_min = self.minima()
             doomed = stable_ids(dels, self._tombstones)
             first_new = self._issued
             if inserted:
@@ -569,9 +564,7 @@ class PreparedDataset:
                 self._tombstones, np.searchsorted(self._tombstones, doomed), doomed
             )
             self._dataset = None
-            new_min, new_max = repair_extrema(
-                (old_min, old_max), rows[doomed], ins, self._live_column
-            )
+            new_min = repair_minima(old_min, rows[doomed], ins, self._live_column)
             merge_repaired, merge_dropped = self._repair_merge_entries(
                 ins, doomed, first_new, run_counter
             )
@@ -579,7 +572,7 @@ class PreparedDataset:
                 bool(np.array_equal(old_min, new_min)), dels, n - deleted
             )
             views_repaired = self._repair_views(ins, dels, run_counter)
-            self._extrema = _read_only(new_min, new_max)
+            self._minima = _read_only(new_min)
             self._artefacts.clear()
             self._statistics = None
             self._column_major = None
@@ -822,11 +815,12 @@ class PreparedDataset:
         forgotten too: an explicit invalidation signals that the data
         changed through a side door no delta log covers.
         """
-        events = current_event_log()
-        if events.enabled:
+        tracer = current_tracer()
+        if tracer.enabled:
             dropped = self.cache_info()
-            events.emit(
+            tracer.record(
                 "cache.invalidate",
+                0.0,
                 dataset=self._name,
                 version=self.version + 1,
                 merge=dropped["merge"],
@@ -838,7 +832,7 @@ class PreparedDataset:
             view.invalidate()  # type: ignore[attr-defined]
         self._column_major = None
         self._statistics = None
-        self._extrema = None
+        self._minima = None
         self._merge_cache.clear()
         self._sort_caches.clear()
         self._view_cache.clear()

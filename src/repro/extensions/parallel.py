@@ -83,7 +83,6 @@ from repro.core.stability import default_threshold
 from repro.dataset import Dataset, as_dataset
 from repro.errors import InvalidParameterError
 from repro.obs.clock import Stopwatch
-from repro.obs.events import current_event_log
 from repro.obs.histogram import LogHistogram
 from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
@@ -694,21 +693,12 @@ def parallel_skyline(
             ] + pairs[1:]
             head_blocks = splits
     pool = pool if pool is not None else get_pool(workers)
-    events = current_event_log()
-    if events.enabled:
-        events.emit(
-            "pool.dispatch",
-            blocks=len(pairs),
-            workers=workers,
-            algorithm=algorithm,
-            partition=partition,
-            n=n,
-        )
     with tracer.span(
         "parallel.map",
         counter=counter,
         blocks=len(pairs),
         head_blocks=head_blocks,
+        workers=workers,
         algorithm=algorithm,
         partition=partition,
         n=n,

@@ -15,13 +15,9 @@ the numbers being observed:
 - :mod:`repro.obs.histogram` — mergeable log-bucketed
   :class:`LogHistogram` for tail-latency quantiles (p50/p90/p99) over
   wall time, charged dominance tests and skyline sizes;
-- :mod:`repro.obs.events` — a ring-buffered structured :class:`EventLog`
-  (plus the allocation-free :class:`NullEventLog` default) recording
-  query/plan/cache/delta/pool lifecycle events as JSONL, with a
-  threshold-based slow-query side ring;
 - :mod:`repro.obs.export` — Chrome trace-event JSON
-  (``chrome://tracing``-loadable), plain-JSON metrics dumps and an ASCII
-  phase-breakdown table;
+  (``chrome://tracing``-loadable), the same events as JSONL, plain-JSON
+  metrics dumps and an ASCII phase-breakdown table;
 - :mod:`repro.obs.exposition` — Prometheus text-format exposition of
   metrics gauges and histogram bucket series;
 - :mod:`repro.obs.regress` — the noise-tolerant bench-trajectory
@@ -29,6 +25,8 @@ the numbers being observed:
 - :mod:`repro.obs.clock` — the sanctioned raw-clock call sites (lint rule
   RPR006 forbids ``time.perf_counter()`` elsewhere).
 
+The tracer is the package's one emitter: query, plan, delta, cache and
+pool lifecycle facts ride as attributes on the spans that bracket them.
 Tracing is observation-only by contract: with tracing on or off, skyline
 ids and charged dominance tests are bit-identical (enforced by the
 ``--strict`` analysis gate and ``tests/obs/test_overhead.py``).
@@ -37,19 +35,13 @@ ids and charged dominance tests are bit-identical (enforced by the
 from __future__ import annotations
 
 from repro.obs.clock import Stopwatch, timed
-from repro.obs.events import (
-    NULL_EVENT_LOG,
-    Event,
-    EventLog,
-    EventLogLike,
-    NullEventLog,
-    current_event_log,
-)
 from repro.obs.export import (
     phase_table,
     to_chrome_trace,
+    to_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
+    write_jsonl,
     write_metrics,
 )
 from repro.obs.exposition import (
@@ -72,14 +64,9 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Event",
-    "EventLog",
-    "EventLogLike",
     "LogHistogram",
     "MetricsRegistry",
-    "NULL_EVENT_LOG",
     "NULL_TRACER",
-    "NullEventLog",
     "NullTracer",
     "PhaseStats",
     "Span",
@@ -88,15 +75,16 @@ __all__ = [
     "Tracer",
     "TracerLike",
     "aggregate_phases",
-    "current_event_log",
     "current_tracer",
     "phase_table",
     "prometheus_name",
     "timed",
     "to_chrome_trace",
+    "to_jsonl",
     "to_prometheus",
     "validate_chrome_trace",
     "write_chrome_trace",
+    "write_jsonl",
     "write_metrics",
     "write_prometheus",
 ]

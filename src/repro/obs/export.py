@@ -1,11 +1,12 @@
-"""Exporters: Chrome trace-event JSON, metrics JSON, ASCII phase table.
+"""Exporters: Chrome trace-event JSON, JSONL, metrics JSON, ASCII phase table.
 
 The Chrome format is the trace-event "complete event" flavour (``ph: "X"``
 with microsecond ``ts``/``dur``) so a ``--trace`` file loads directly in
-``chrome://tracing`` / Perfetto.  The phase table follows the monospace
-conventions of :mod:`repro.bench.ascii_chart` (right-aligned numbers,
-``#`` bars scaled to the peak) so traced runs read like the paper-figure
-artefacts the bench suite already prints.
+``chrome://tracing`` / Perfetto; the JSONL export writes the same events
+one per line for log pipelines (``--events``).  The phase table follows
+the monospace conventions of :mod:`repro.bench.ascii_chart`
+(right-aligned numbers, ``#`` bars scaled to the peak) so traced runs
+read like the paper-figure artefacts the bench suite already prints.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from repro.obs.trace import PhaseStats, Span, Trace, aggregate_phases
 __all__ = [
     "phase_table",
     "to_chrome_trace",
+    "to_jsonl",
     "validate_chrome_trace",
     "write_chrome_trace",
+    "write_jsonl",
     "write_metrics",
 ]
 
@@ -34,6 +37,22 @@ def _chrome_args(span: Span) -> dict[str, object]:
     return args
 
 
+def _chrome_events(trace: Trace) -> list[dict[str, object]]:
+    return [
+        {
+            "name": span.name,
+            "cat": "skyline" if depth == 0 else "phase",
+            "ph": "X",
+            "ts": round(span.start_s * 1e6, 3),
+            "dur": round(span.wall_s * 1e6, 3),
+            "pid": 1,
+            "tid": 1,
+            "args": _chrome_args(span),
+        }
+        for depth, span in trace.walk()
+    ]
+
+
 def to_chrome_trace(trace: Trace) -> dict[str, object]:
     """A trace as a ``chrome://tracing``-loadable trace-event document.
 
@@ -42,21 +61,7 @@ def to_chrome_trace(trace: Trace) -> dict[str, object]:
     counter deltas ride in ``args``.  All events share ``pid=1``/``tid=1``
     (one process, nesting conveyed by time containment).
     """
-    events: list[dict[str, object]] = []
-    for depth, span in trace.walk():
-        events.append(
-            {
-                "name": span.name,
-                "cat": "skyline" if depth == 0 else "phase",
-                "ph": "X",
-                "ts": round(span.start_s * 1e6, 3),
-                "dur": round(span.wall_s * 1e6, 3),
-                "pid": 1,
-                "tid": 1,
-                "args": _chrome_args(span),
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return {"traceEvents": _chrome_events(trace), "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(trace: Trace, path: str | Path) -> Path:
@@ -66,6 +71,24 @@ def write_chrome_trace(trace: Trace, path: str | Path) -> Path:
         json.dumps(to_chrome_trace(trace), indent=2, sort_keys=False) + "\n",
         encoding="utf-8",
     )
+    return target
+
+
+def to_jsonl(trace: Trace) -> str:
+    """The :func:`to_chrome_trace` events as JSONL, one per line, depth-first.
+
+    Attribute values JSON cannot encode are stringified; an empty trace
+    gives ``""``.
+    """
+    return "".join(
+        json.dumps(event, default=str) + "\n" for event in _chrome_events(trace)
+    )
+
+
+def write_jsonl(trace: Trace, path: str | Path) -> Path:
+    """Write :func:`to_jsonl` output to ``path``; returns it."""
+    target = Path(path)
+    target.write_text(to_jsonl(trace), encoding="utf-8")
     return target
 
 

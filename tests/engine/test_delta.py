@@ -96,10 +96,8 @@ class TestApplyDelta:
         assert sorted(result.indices.tolist()) == expected
 
 
-def _assert_exact_extrema(prepared):
-    minima, maxima = prepared.extrema()
-    assert np.array_equal(minima, prepared.values.min(axis=0))
-    assert np.array_equal(maxima, prepared.values.max(axis=0))
+def _assert_exact_minima(prepared):
+    assert np.array_equal(prepared.minima(), prepared.values.min(axis=0))
 
 
 def _classify_pivot_by_pivot(pivots, rows, inserts, first_new, counter):
@@ -159,51 +157,51 @@ class TestRepairMergeResult:
 
 
 class TestColumnExtrema:
-    """The extrema carried across deltas equal a cold reduction."""
+    """The column minima carried across deltas equal a cold reduction."""
 
     def test_holders_ties_beyond_and_full_turnover(self):
         rng = np.random.default_rng(21)
         values = rng.random((30, 3))
         prepared = PreparedDataset(values)
-        prepared.extrema()  # reduced once here; every delta maintains it
+        prepared.minima()  # reduced once here; every delta maintains it
         holders = {int(values[:, 0].argmin()), int(values[:, 1].argmax())}
         prepared.apply_delta(None, sorted(holders), mode="repair")
-        _assert_exact_extrema(prepared)
+        _assert_exact_minima(prepared)
         # Tie column 2's minimum, then delete its first holder.
         holder = int(prepared.values[:, 2].argmin())
         tie = np.array([[0.5, 0.5, prepared.values[holder, 2]]])
         prepared.apply_delta(tie, None, mode="repair")
         prepared.apply_delta(None, [holder], mode="repair")
-        _assert_exact_extrema(prepared)
-        assert prepared.extrema()[0][2] == tie[0, 2]
+        _assert_exact_minima(prepared)
+        assert prepared.minima()[2] == tie[0, 2]
         prepared.apply_delta([[-1.0, -1.0, -1.0], [2.0, 2.0, 2.0]], None, mode="repair")
-        _assert_exact_extrema(prepared)
-        # Replace every row: the extrema come from the inserts alone.
+        _assert_exact_minima(prepared)
+        # Replace every row: the minima come from the inserts alone.
         fresh = rng.random((4, 3)) + 5.0
         prepared.apply_delta(fresh, np.arange(prepared.cardinality), mode="repair")
-        _assert_exact_extrema(prepared)
-        assert np.array_equal(prepared.extrema()[0], fresh.min(axis=0))
+        _assert_exact_minima(prepared)
+        assert np.array_equal(prepared.minima(), fresh.min(axis=0))
 
     def test_random_deltas_on_tie_heavy_data(self):
         rng = np.random.default_rng(22)
         prepared = PreparedDataset(rng.integers(0, 4, size=(40, 3)).astype(float))
-        prepared.extrema()
+        prepared.minima()
         for _ in range(150):
             n = prepared.cardinality
             deletes = rng.choice(n, size=int(rng.integers(0, min(3, n - 1) + 1)), replace=False)
             inserts = rng.integers(-1, 5, size=(int(rng.integers(0, 4)), 3)).astype(float)
             prepared.apply_delta(inserts, deletes, mode="repair")
-            _assert_exact_extrema(prepared)
+            _assert_exact_minima(prepared)
 
     def test_recompute_and_invalidate_leave_no_stale_extrema(self, ui_small):
         prepared = PreparedDataset(ui_small)
-        prepared.extrema()
+        prepared.minima()
         beyond = np.full((1, ui_small.dimensionality), 2.0)  # above every UI value
         prepared.apply_delta(beyond, [0], mode="recompute")
-        _assert_exact_extrema(prepared)
+        _assert_exact_minima(prepared)
         prepared.dataset = Dataset(ui_small.values * 3.0)  # rebound externally
         prepared.invalidate()
-        _assert_exact_extrema(prepared)
+        _assert_exact_minima(prepared)
 
 
 class TestMaximizeViewRepair:

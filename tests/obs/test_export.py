@@ -1,6 +1,8 @@
-"""Exporters: Chrome trace-event JSON, metrics JSON, the ASCII phase table."""
+"""Exporters: Chrome trace-event JSON, JSONL, metrics JSON, the ASCII
+phase table."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +10,10 @@ from repro.errors import InvalidParameterError
 from repro.obs.export import (
     phase_table,
     to_chrome_trace,
+    to_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
+    write_jsonl,
     write_metrics,
 )
 from repro.obs.trace import Trace, Tracer
@@ -57,6 +61,36 @@ class TestChromeTrace:
         path = write_chrome_trace(make_trace(), tmp_path / "trace.json")
         document = json.loads(path.read_text())
         assert validate_chrome_trace(document) == 3
+
+
+class TestJsonl:
+    def test_one_parseable_object_per_line(self):
+        trace = make_trace()
+        lines = to_jsonl(trace).splitlines()
+        assert [json.loads(line) for line in lines] == (
+            to_chrome_trace(trace)["traceEvents"]
+        )
+        assert [json.loads(line)["name"] for line in lines] == [
+            "execute",
+            "merge",
+            "scan",
+        ]
+
+    def test_empty_trace_is_empty_string(self):
+        assert to_jsonl(Trace(roots=[])) == ""
+
+    def test_non_json_attribute_values_stringify(self):
+        tracer = Tracer()
+        tracer.record("odd", 0.0, where=Path("a") / "b", kinds={"x"})
+        (entry,) = [json.loads(line) for line in to_jsonl(tracer.drain()).splitlines()]
+        assert entry["args"]["where"] == str(Path("a") / "b")
+        assert entry["args"]["kinds"] == "{'x'}"
+
+    def test_write_jsonl(self, tmp_path):
+        trace = make_trace()
+        path = write_jsonl(trace, tmp_path / "events.jsonl")
+        assert path.read_text(encoding="utf-8") == to_jsonl(trace)
+        assert json.loads(path.read_text().splitlines()[1])["args"]["sigma"] == 2
 
 
 class TestValidateChromeTrace:

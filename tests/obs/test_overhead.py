@@ -1,12 +1,13 @@
-"""The tracing overhead budget (ISSUE 4, satellite 3; ISSUE 9, satellite 4).
+"""The tracing overhead budget.
 
 Tracing is observation-only: with a live :class:`Tracer` the engine must
 return the identical skyline ids and charge the identical dominance tests
 as with the default :class:`NullTracer` (hypothesis bridges the claim over
 seeds), and at the reference workload (UI ``n=10_000``, ``d=6``) the
 best-of-N wall time with tracing on must stay within 5% of tracing off.
-The same budget covers the incremental-repair path with the full
-telemetry stack live (tracer *and* event log).
+The tracer is the one telemetry emitter, so the same budget covers the
+incremental-repair path (``delta.apply`` and ``engine.repair`` spans) with
+all telemetry live.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from repro.data import generate
 from repro.engine import SkylineEngine
 from repro.engine.context import ExecutionContext
 from repro.obs.clock import timed
-from repro.obs.events import EventLog
 from repro.obs.trace import Tracer
 from repro.stats.counters import DominanceCounter
 
@@ -77,13 +77,9 @@ def repair_run(traced):
     """Warm an engine, then time apply_delta + the repaired execution.
 
     Returns (ids, charged tests, wall seconds of the timed repair step).
-    The traced variant runs the full telemetry stack — Chrome tracer and
-    structured event log — so the budget covers both emitters at once.
+    The traced variant runs with a live tracer, the one telemetry emitter.
     """
-    if traced:
-        context = ExecutionContext(tracer=Tracer(), event_log=EventLog())
-    else:
-        context = ExecutionContext()
+    context = ExecutionContext(tracer=Tracer()) if traced else ExecutionContext()
     engine = SkylineEngine(context)
     dataset = generate("UI", n=10_000, d=6, seed=0)
     engine.execute(dataset, workers=1)

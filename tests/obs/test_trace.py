@@ -176,6 +176,12 @@ class TestNullTracer:
         tracer.record("merge.round", 0.5)
         assert tracer.drain() is None
 
+    def test_activate_returns_shared_noop(self):
+        tracer = NullTracer()
+        assert tracer.activate() is tracer.activate()
+        with tracer.activate():
+            assert current_tracer() is NULL_TRACER
+
 
 class TestAggregatePhases:
     def make_trace(self):
